@@ -5,57 +5,51 @@ rational numbers throughout; balance is the one floating-point module.
 """
 
 from .errors import (ChowstabError, DependentFamily, NonRationalCoordinate,
-                     NotWeightHomogeneous, PolynomialityFailed, RankDrop,
-                     SchemaError, SubspaceNotSpannedBySupport,
-                     SubspaceNotWeightHomogeneous, VerificationFailed,
+                     PolynomialityFailed, RankDrop, SchemaError,
+                     SubspaceNotSpannedBySupport, VerificationFailed,
                      ZeroLeadingCoefficient, ZeroPoint)
-from .exactcore import (PolyT, QQ, RatMatrix, int_rank_profile,
-                        interpolate_poly, limit_subspace, poly_eval,
-                        rank_kernel)
+from .exactcore import QQ, int_rank_profile, interpolate_poly, poly_eval
 from .geometry import (Ambient, DiagonalOnePS, ProductPoint, ProjectivePoint,
                        WeightedCycle, chow_multiplicities, collision_clusters,
                        limit_point, normalize_cycle, project_cycle)
 from .hilbert import (CentralPrediction, ExpansionCoeffs, FatPointSpec,
                       MonomialBasis, base_coeffs, fat_point_length,
-                      futaki_from_coeffs, h0_with_vanishing,
-                      jet_vanishing_matrix, level_weight, lifting_shift,
-                      line_weight, predicted_central_coeffs, section_trace)
+                      futaki_from_coeffs, h0_with_vanishing, level_weight,
+                      lifting_shift, line_weight, predicted_central_coeffs,
+                      section_trace)
 from .stability import (STABLE, STRICTLY_SEMISTABLE, UNSTABLE, Destabilizer,
                         InstabilityCertificate, RatioRecord, SearchResult,
                         StabilityVerdict, Subspace, chow_weight, classify,
                         destabilizer_from_subspace, exhaustive_ops_search,
                         find_unstable_subspace, mumford_weight)
 from .testconfig import (CentralFibre, CentralFibreData, DFResult,
-                         DegreeReport, ExpansionReport, SectionFamily,
-                         TestConfigSpec, central_fibre_cycle,
-                         central_fibre_sections, df_invariant,
-                         expansion_comparison, moving_section_family)
+                         DegreeReport, ExpansionReport, TestConfigSpec,
+                         central_fibre_cycle, central_fibre_sections,
+                         df_invariant, expansion_comparison)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChowstabError", "DependentFamily", "NonRationalCoordinate",
-    "NotWeightHomogeneous", "PolynomialityFailed", "RankDrop", "SchemaError",
-    "SubspaceNotSpannedBySupport", "SubspaceNotWeightHomogeneous",
-    "VerificationFailed", "ZeroLeadingCoefficient", "ZeroPoint",
-    "PolyT", "QQ", "RatMatrix", "int_rank_profile", "interpolate_poly",
-    "limit_subspace", "poly_eval", "rank_kernel",
+    "PolynomialityFailed", "RankDrop", "SchemaError",
+    "SubspaceNotSpannedBySupport", "VerificationFailed",
+    "ZeroLeadingCoefficient", "ZeroPoint",
+    "QQ", "int_rank_profile", "interpolate_poly", "poly_eval",
     "Ambient", "DiagonalOnePS", "ProductPoint", "ProjectivePoint",
     "WeightedCycle", "chow_multiplicities", "collision_clusters",
     "limit_point", "normalize_cycle", "project_cycle",
     "CentralPrediction", "ExpansionCoeffs", "FatPointSpec", "MonomialBasis",
     "base_coeffs", "fat_point_length", "futaki_from_coeffs",
-    "h0_with_vanishing", "jet_vanishing_matrix", "level_weight",
-    "lifting_shift", "line_weight", "predicted_central_coeffs",
-    "section_trace",
+    "h0_with_vanishing", "level_weight", "lifting_shift", "line_weight",
+    "predicted_central_coeffs", "section_trace",
     "STABLE", "STRICTLY_SEMISTABLE", "UNSTABLE", "Destabilizer",
     "InstabilityCertificate", "RatioRecord", "SearchResult",
     "StabilityVerdict", "Subspace", "chow_weight", "classify",
     "destabilizer_from_subspace", "exhaustive_ops_search",
     "find_unstable_subspace", "mumford_weight",
     "CentralFibre", "CentralFibreData", "DFResult", "DegreeReport",
-    "ExpansionReport", "SectionFamily", "TestConfigSpec",
+    "ExpansionReport", "TestConfigSpec",
     "central_fibre_cycle", "central_fibre_sections", "df_invariant",
-    "expansion_comparison", "moving_section_family",
+    "expansion_comparison",
     "__version__",
 ]

@@ -17,9 +17,8 @@ from typing import Optional
 from .balance import BalanceCycle, balance_flow, check_no_common_zero, \
     check_spanning
 from .errors import (ChowstabError, DependentFamily, NonRationalCoordinate,
-                     NotWeightHomogeneous, PolynomialityFailed, RankDrop,
-                     SchemaError, SubspaceNotSpannedBySupport,
-                     SubspaceNotWeightHomogeneous, VerificationFailed,
+                     PolynomialityFailed, RankDrop, SchemaError,
+                     SubspaceNotSpannedBySupport, VerificationFailed,
                      ZeroLeadingCoefficient, ZeroPoint)
 from .geometry import Ambient, DiagonalOnePS, WeightedCycle, normalize_cycle
 from .stability import classify, chow_weight, exhaustive_ops_search
@@ -27,8 +26,8 @@ from .testconfig import (TestConfigSpec, central_fibre_cycle, df_invariant,
                          expansion_comparison)
 
 _INTERNAL_ERRORS = (VerificationFailed, DependentFamily, RankDrop,
-                    PolynomialityFailed, SubspaceNotWeightHomogeneous,
-                    SubspaceNotSpannedBySupport, ZeroLeadingCoefficient)
+                    PolynomialityFailed, SubspaceNotSpannedBySupport,
+                    ZeroLeadingCoefficient)
 _INPUT_ERRORS = (SchemaError, NonRationalCoordinate, ZeroPoint, ValueError)
 
 

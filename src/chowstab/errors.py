@@ -24,7 +24,7 @@ class SchemaError(ChowstabError):
 
 
 class VerificationFailed(ChowstabError):
-    """A held-out verification sample disagreed with an interpolant."""
+    """An exact internal identity or a held-out verification sample failed."""
 
 
 class DependentFamily(ChowstabError):
@@ -33,14 +33,6 @@ class DependentFamily(ChowstabError):
 
 class SubspaceNotSpannedBySupport(ChowstabError):
     """A subspace certificate is not spanned by points of the cycle."""
-
-
-class SubspaceNotWeightHomogeneous(ChowstabError):
-    """A section subspace does not split along weight-graded blocks."""
-
-
-class NotWeightHomogeneous(SubspaceNotWeightHomogeneous):
-    """A computed flat limit fails the weight-homogeneity check."""
 
 
 class RankDrop(ChowstabError):

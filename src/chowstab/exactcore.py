@@ -1,15 +1,19 @@
 """Exact dense linear algebra over Q and over the polynomial ring Q[t].
 
-Everything here is done with `fractions.Fraction`; no floating point enters
-any computation in this module.  Matrices are dense, which is all the rest
-of the package needs (a few thousand columns at most).
+`graded_limit` computes every weight-graded flat limit the package needs.
+The Q[t] part (PolyT and limit_subspace) computes the same limits by
+another route and is kept only as the reference the tests compare against.
+Everything here is done with exact integers and `fractions.Fraction`; no
+floating point enters any computation in this module.  Matrices are dense,
+which is all the rest of the package needs (a few thousand columns at
+most).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DependentFamily, VerificationFailed
 
@@ -18,8 +22,8 @@ QQ = Fraction
 __all__ = [
     "QQ",
     "PolyT",
-    "RatMatrix",
     "rank_kernel",
+    "graded_limit",
     "limit_subspace",
     "interpolate_poly",
     "poly_eval",
@@ -152,36 +156,6 @@ class PolyT:
 # rational matrices
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """A dense rectangular matrix over Q, stored row-major."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(_rat(x) for x in row) for row in self.entries)
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", rows)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-
 def _rref(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
     """In-place reduced row echelon form; returns (rank, pivot columns)."""
     if not rows:
@@ -226,15 +200,17 @@ def _kernel_from_rref(rows: list[list[Fraction]], pivots: list[int],
     return basis
 
 
-def rank_kernel(m: RatMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
+def rank_kernel(rows: Sequence[Sequence], ncols: int
+                ) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Rank and a deterministic kernel basis of a rational matrix.
 
-    Each kernel vector has entry 1 at one free column of the reduced row
-    echelon form, so the output is canonical for a given input.
+    Entries may be ints or Fractions; they are converted to Fraction.  Each
+    kernel vector has entry 1 at one free column of the reduced row echelon
+    form and is zero after it, so the output is canonical for a given input.
     """
-    rows = [list(r) for r in m.entries]
-    rank, pivots = _rref(rows)
-    return rank, _kernel_from_rref(rows, pivots, m.ncols)
+    work = [[_rat(x) for x in row] for row in rows]
+    rank, pivots = _rref(work)
+    return rank, _kernel_from_rref(work, pivots, ncols)
 
 
 def _solve(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
@@ -296,7 +272,61 @@ def int_rank_profile(rows: list[list[int]], ncols: int
 
 
 # ---------------------------------------------------------------------------
+# the weight-graded flat limit of a kernel
+
+
+def graded_limit(rows: Sequence[Sequence[int]], weights: Sequence[int],
+                 want_basis: bool = False
+                 ) -> tuple[int, dict[int, int],
+                            Optional[list[tuple[Fraction, ...]]]]:
+    """Flat limit at t=0 of the kernel of an integer matrix graded by weight.
+
+    Column j carries weight weights[j], and a kernel vector v moves to the
+    family whose j-th coefficient is t**(top(v) - weights[j]) v_j, so the
+    limit keeps the top-weight part of every kernel vector.  With columns
+    sorted by ascending (weight, index), the kernel vector of a free column
+    f has its unit entry at f and every other nonzero entry at an earlier
+    pivot, of weight at most w(f).  Its top-weight part is its entries of
+    weight w(f).  These parts are independent, since each is the only one
+    that is nonzero at its own free column, so they span the limit, whose
+    dimension in weight c is the number of free columns of weight c.
+
+    Returns (rank, {weight: dim}, basis).  With want_basis the basis of
+    top-weight parts is returned in the original column order, from a
+    Fraction kernel; otherwise only the fraction-free rank profile is
+    taken and the basis is None.  `rows` is left unchanged.
+    """
+    ncols = len(weights)
+    order = sorted(range(ncols), key=lambda j: (weights[j], j))
+    sorted_w = [weights[j] for j in order]
+    sorted_rows = [[row[j] for j in order] for row in rows]
+    if want_basis:
+        rank, kernel = rank_kernel(sorted_rows, ncols)
+        free = [max(j for j, x in enumerate(v) if x) for v in kernel]
+    else:
+        rank, pivots = int_rank_profile(sorted_rows, ncols)
+        pivot_set = set(pivots)
+        free = [j for j in range(ncols) if j not in pivot_set]
+    graded: dict[int, int] = {}
+    for f in free:
+        graded[sorted_w[f]] = graded.get(sorted_w[f], 0) + 1
+    if not want_basis:
+        return rank, graded, None
+    basis = []
+    for f, v in zip(free, kernel):
+        top = [Fraction(0)] * ncols
+        for j, x in enumerate(v):
+            if x and sorted_w[j] == sorted_w[f]:
+                top[order[j]] = x
+        basis.append(tuple(top))
+    return rank, graded, basis
+
+
+# ---------------------------------------------------------------------------
 # flat limits of t-families of subspaces
+#
+# limit_subspace and PolyT are the independent reference that the tests
+# compare graded_limit against; no production path calls them.
 
 
 def _vector_order(v: Sequence[PolyT]) -> int:
@@ -328,8 +358,7 @@ def limit_subspace(basis: Sequence[Sequence[PolyT]]
     bound = d * max(max_deg, 1) * m + d + 1
     for _ in range(bound):
         evals = [[p(0) for p in v] for v in work]
-        transpose = RatMatrix.from_rows(zip(*evals))
-        rank, relations = rank_kernel(transpose)
+        rank, relations = rank_kernel(list(zip(*evals)), d)
         if rank == d:
             return [tuple(row) for row in evals]
         c = relations[0]
@@ -341,7 +370,9 @@ def limit_subspace(basis: Sequence[Sequence[PolyT]]
         if not vals:
             raise DependentFamily("relation holds identically in t")
         nu = min(vals)
-        assert nu >= 1, "combination should vanish at t=0"
+        if nu < 1:
+            raise VerificationFailed("dependency relation does not vanish "
+                                     "at t=0")
         reduced = [p.div_t_power(nu) for p in comb]
         participants = [i for i, ci in enumerate(c) if ci != 0]
         j = max(participants, key=lambda i: (_vector_order(work[i]), -i))

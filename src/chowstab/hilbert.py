@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import SubspaceNotWeightHomogeneous, ZeroLeadingCoefficient
-from .exactcore import QQ, RatMatrix, _rref, int_rank_profile
+from .errors import ZeroLeadingCoefficient
+from .exactcore import int_rank_profile
 from .geometry import (DiagonalOnePS, ProjectivePoint, WeightedCycle,
                        collision_clusters)
 
@@ -180,36 +180,24 @@ def _int_jet_rows(p: ProjectivePoint, order: int,
     return rows
 
 
-def _all_int_jet_rows(spec: FatPointSpec,
-                      basis: MonomialBasis) -> list[list[int]]:
+def jet_vanishing_matrix(spec: FatPointSpec) -> list[list[int]]:
+    """The jet condition matrix, in integers; its kernel is the section space.
+
+    Rows run over support points in cycle order and derivative functionals
+    in graded order; columns over the degree-d monomial basis.  The rows of
+    a point with affine denominator den are scaled by den**d.
+    """
+    basis = MonomialBasis(spec.cycle.ambient.n, spec.degree)
     rows: list[list[int]] = []
     for p, a in spec.cycle.points:
         rows.extend(_int_jet_rows(p, spec.r * a, basis))
     return rows
 
 
-def jet_vanishing_matrix(spec: FatPointSpec) -> RatMatrix:
-    """The exact jet condition matrix; its kernel is the section space.
-
-    Rows run over support points in cycle order and derivative functionals
-    in graded order; columns over the degree-d monomial basis.
-    """
-    n = spec.cycle.ambient.n
-    basis = MonomialBasis(n, spec.degree)
-    rows = []
-    for p, a in spec.cycle.points:
-        _, _, den = _point_int_data(p)
-        scale = Fraction(1, den ** spec.degree)
-        for int_row in _int_jet_rows(p, spec.r * a, basis):
-            rows.append([x * scale for x in int_row])
-    return RatMatrix.from_rows(rows)
-
-
 def h0_with_vanishing(spec: FatPointSpec) -> int:
     """dim of degree-d forms vanishing to order r*a_i at every point."""
-    n = spec.cycle.ambient.n
-    basis = MonomialBasis(n, spec.degree)
-    rows = _all_int_jet_rows(spec, basis)
+    basis = MonomialBasis(spec.cycle.ambient.n, spec.degree)
+    rows = jet_vanishing_matrix(spec)
     if not rows:
         return len(basis)
     rank, _ = int_rank_profile(rows, len(basis))
@@ -220,46 +208,13 @@ def h0_with_vanishing(spec: FatPointSpec) -> int:
 # traces of the induced action on section spaces
 
 
-def weight_classes(basis: MonomialBasis, alpha: DiagonalOnePS
-                   ) -> dict[int, list[int]]:
-    """Column indices of the monomial basis grouped by <w, e>."""
-    classes: dict[int, list[int]] = {}
-    for i, c in enumerate(basis.weights(alpha)):
-        classes.setdefault(c, []).append(i)
-    return classes
-
-
-def section_trace(alpha: DiagonalOnePS, n: int, d: int,
-                  subspace: Optional[Sequence[Sequence[Fraction]]] = None
-                  ) -> Fraction:
-    """Trace of the induced generator on a space of degree-d sections.
+def section_trace(alpha: DiagonalOnePS, n: int, d: int) -> Fraction:
+    """Trace of the induced generator on the space of degree-d sections.
 
     Monomial x^e contributes -<w, e>: the action on coordinate functions
-    is inverse to the action on points.  Without `subspace` the trace runs
-    over the full degree-d space.  With it, the subspace must decompose
-    along the weight-graded blocks; the trace is then the weighted sum of
-    the block ranks.
+    is inverse to the action on points.
     """
-    basis = MonomialBasis(n, d)
-    if subspace is None:
-        return Fraction(-sum(basis.weights(alpha)))
-    rows = [list(map(Fraction, v)) for v in subspace]
-    if rows and len(rows[0]) != len(basis):
-        raise ValueError("subspace vectors do not match the monomial basis")
-    work = [row[:] for row in rows]
-    total_rank, _ = _rref(work)
-    tr = Fraction(0)
-    block_rank_sum = 0
-    for c, cols in weight_classes(basis, alpha).items():
-        proj = [[row[j] for j in cols] for row in rows]
-        rk, _ = _rref(proj)
-        tr += -c * rk
-        block_rank_sum += rk
-    if block_rank_sum != total_rank:
-        raise SubspaceNotWeightHomogeneous(
-            f"graded block ranks sum to {block_rank_sum}, "
-            f"subspace dimension is {total_rank}")
-    return tr
+    return Fraction(-sum(MonomialBasis(n, d).weights(alpha)))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import SubspaceNotSpannedBySupport
+from .errors import SubspaceNotSpannedBySupport, VerificationFailed
 from .exactcore import QQ, _rref, _solve
 from .geometry import (DiagonalOnePS, ProductPoint, ProjectivePoint,
                        WeightedCycle)
@@ -66,7 +66,8 @@ def chow_weight(cycle: WeightedCycle, alpha: DiagonalOnePS,
         alpha2 = DiagonalOnePS.trivial(n2 + 1)
     total = Fraction(0)
     for p, m in cycle.points:
-        assert isinstance(p, ProductPoint)
+        if not isinstance(p, ProductPoint):
+            raise VerificationFailed(f"{p!r} is not a point of the product")
         total += m * (mumford_weight(p.parts[0], alpha)
                       + mumford_weight(p.parts[1], alpha2))
     return total
@@ -166,18 +167,13 @@ def _scan_subspaces(cycle: WeightedCycle) -> list[tuple[tuple[int, ...], RatioRe
 def find_unstable_subspace(cycle: WeightedCycle) -> Optional[RatioRecord]:
     """Best destabilizing subspace, or None when no ratio is strict.
 
-    The winner maximizes mass/(dim+1); ties prefer lower dimension, then
-    the lexicographically earliest spanning subset.
+    This is the subspace of classify's certificate, with its tie-breaks.
     """
-    best = None
-    best_key = None
-    for idx, rec in _scan_subspaces(cycle):
-        if not rec.is_violating:
-            continue
-        key = (-rec.ratio, rec.subspace.dim, idx)
-        if best is None or key < best_key:
-            best, best_key = rec, key
-    return best
+    cert = classify(cycle).certificate
+    if cert is None:
+        return None
+    return RatioRecord(cert.subspace, cert.mass_on_v, cert.total_mass,
+                       cert.ratio, cert.threshold)
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,8 @@ def _complete_basis(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
         rank, _ = _rref(probe)
         if rank == len(basis) + 1:
             basis.append(cand)
-    assert len(basis) == n + 1
+    if len(basis) != n + 1:
+        raise VerificationFailed("standard vectors did not complete a basis")
     return basis
 
 
@@ -236,7 +233,9 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
         rank, _ = _rref(probe)
         if rank == len(rows) + 1:
             rows.append(list(p.coords))
-    assert len(rows) == k + 1
+    if len(rows) != k + 1:
+        raise VerificationFailed(
+            f"{len(rows)} independent spanning points for dimension {k}")
     basis = _complete_basis(rows, n)
     weights = tuple([n - k] * (k + 1) + [-(k + 1)] * (n - k))
     ops = DiagonalOnePS(weights)
@@ -248,7 +247,10 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
     mass_on_v = sum(m for p, m in cycle.points if subspace.contains(p))
     closed_form = Fraction((n + 1) * mass_on_v
                            - cycle.total_mass() * (k + 1))
-    assert total == closed_form, "adapted weight identity failed"
+    if total != closed_form:
+        raise VerificationFailed(
+            f"adapted weight {total} differs from the closed form "
+            f"{closed_form}")
     return Destabilizer(ops, tuple(tuple(r) for r in basis), total)
 
 
@@ -278,6 +280,8 @@ class StabilityVerdict:
 def classify(cycle: WeightedCycle) -> StabilityVerdict:
     """Full stability verdict with a certificate in the unstable case.
 
+    The certified subspace maximizes mass/(dim+1); ties prefer lower
+    dimension, then the lexicographically earliest spanning subset.
     witness_ratios collects the subspaces sitting exactly on the boundary
     ratio, which separate the stable and strictly semistable outcomes.
     """

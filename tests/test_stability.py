@@ -4,12 +4,17 @@ Independent recomputations use sympy so that the exact linear algebra in
 the package is never trusted to check itself.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from sympy import Matrix, Rational
 
+import chowstab
 from chowstab import (Ambient, DiagonalOnePS, ProjectivePoint, Subspace,
                       SubspaceNotSpannedBySupport, chow_weight, classify,
                       destabilizer_from_subspace, exhaustive_ops_search,
@@ -233,6 +238,32 @@ class TestDestabilizer:
                       ProjectivePoint([0, 0, 1])])
         with pytest.raises(ValueError):
             destabilizer_from_subspace(TRIANGLE, v)
+
+    def test_broken_identity_raises_under_optimize(self):
+        # python -O strips assert statements; the adapted weight identity
+        # must still raise when mumford_weight is broken
+        script = textwrap.dedent("""
+            import sys
+            from chowstab import stability
+            from chowstab.errors import VerificationFailed
+            from chowstab.geometry import Ambient, normalize_cycle
+            if not sys.flags.optimize:
+                sys.exit("assert statements are live")
+            heavy = normalize_cycle(Ambient.projective(2), [
+                ([1, 0, 0], 2), ([0, 1, 0], 1), ([0, 0, 1], 1)])
+            sub = stability.Subspace([heavy.support()[0]])
+            stability.mumford_weight = lambda x, alpha: 0
+            try:
+                stability.destabilizer_from_subspace(heavy, sub)
+            except VerificationFailed:
+                print("raised")
+            """)
+        src = os.path.dirname(os.path.dirname(chowstab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
 
 
 class TestSearchOracle:

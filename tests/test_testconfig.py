@@ -9,18 +9,22 @@ forms checked against the implementation on disjoint gamma windows.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chowstab import (Ambient, DiagonalOnePS, ExpansionCoeffs, FatPointSpec,
-                      MonomialBasis, PolynomialityFailed, PolyT,
-                      ProjectivePoint, TestConfigSpec, ZeroLeadingCoefficient,
+from chowstab import (Ambient, DiagonalOnePS, ExpansionCoeffs,
+                      MonomialBasis, PolynomialityFailed, ProjectivePoint,
+                      TestConfigSpec, ZeroLeadingCoefficient,
                       central_fibre_cycle, central_fibre_sections,
-                      df_invariant, expansion_comparison, jet_vanishing_matrix,
-                      lifting_shift, moving_section_family, normalize_cycle)
-from chowstab.exactcore import _rref
-from chowstab.testconfig import _central_summary
+                      df_invariant, expansion_comparison, lifting_shift,
+                      normalize_cycle)
+from chowstab.exactcore import PolyT, limit_subspace
+from chowstab.testconfig import _central_summary, moving_section_family
+from fibre_reference import checked_fibre, span_equal
 
 P1 = Ambient.projective(1)
 P2 = Ambient.projective(2)
+P3 = Ambient.projective(3)
 
 COLLINEAR = normalize_cycle(P2, [([1, 0, 0], 1), ([0, 1, 0], 1),
                                  ([1, 1, 0], 1)])
@@ -35,15 +39,6 @@ W211 = DiagonalOnePS((2, -1, -1))
 def collinear_f(g):
     """Closed form of the collinear invariant, valid for gamma >= 2."""
     return Fraction(-3 * (g ** 3 - 3 * g * g + 3 * g - 3), 2 * (g * g - 3))
-
-
-def _span_equal(rows_a, rows_b):
-    a = [[Fraction(x) for x in r] for r in rows_a]
-    b = [[Fraction(x) for x in r] for r in rows_b]
-    ra, _ = _rref([r[:] for r in a])
-    rb, _ = _rref([r[:] for r in b])
-    rab, _ = _rref([r[:] for r in a + b])
-    return ra == rb == rab
 
 
 def _unit_row(basis, mono):
@@ -89,21 +84,21 @@ class TestMovingSectionFamily:
 
     def test_single_moving_point(self):
         # lines through one moving point degenerate onto its limit position
-        fam = moving_section_family(
-            normalize_cycle(P2, [([1, 1, 1], 1)]), W211, 1, 1)
-        assert fam.dim == 2
-        fib = central_fibre_sections(fam)
+        point = normalize_cycle(P2, [([1, 1, 1], 1)])
+        assert moving_section_family(point, W211, 1, 1).dim == 2
+        fib = checked_fibre(point, W211, 1)
         # limit point of [1:1:1] under (2,-1,-1) is [0:1:1]
-        assert _span_equal(fib.basis, [(1, 0, 0), (0, 1, -1)])
+        assert span_equal(fib.basis, [(1, 0, 0), (0, 1, -1)])
         assert fib.trace == -1
 
     def test_trivial_weights_give_constant_family(self):
-        fam = moving_section_family(COLLINEAR, DiagonalOnePS((0, 0, 0)), 2, 1)
+        trivial = DiagonalOnePS((0, 0, 0))
+        fam = moving_section_family(COLLINEAR, trivial, 2, 1)
         assert all(p.degree <= 0 for v in fam.basis for p in v)
-        fib = central_fibre_sections(fam)
+        fib = checked_fibre(COLLINEAR, trivial, 2)
         basis = MonomialBasis(2, 2)
-        assert _span_equal(fib.basis, [_unit_row(basis, m) for m in
-                                       [(1, 0, 1), (0, 1, 1), (0, 0, 2)]])
+        assert span_equal(fib.basis, [_unit_row(basis, m) for m in
+                                      [(1, 0, 1), (0, 1, 1), (0, 0, 2)]])
         assert fib.trace == 0 and fib.graded_dims == {0: 3}
 
     def test_validation(self):
@@ -120,8 +115,7 @@ class TestMovingSectionFamily:
 
 class TestCentralFibre:
     def test_colliding_triple_limit_is_monomial(self):
-        fib = central_fibre_sections(
-            moving_section_family(COLLIDING, W011, 2, 1))
+        fib = checked_fibre(COLLIDING, W011, 2)
         basis = MonomialBasis(2, 2)
         expect = [_unit_row(basis, m) for m in
                   [(0, 2, 0), (0, 1, 1), (0, 0, 2)]]
@@ -132,30 +126,59 @@ class TestCentralFibre:
     def test_invariant_cycle_keeps_its_sections(self):
         # the collinear triple is fixed by (1,1,-2); the limit is the
         # honest section space x2 * (linear forms)
-        fib = central_fibre_sections(
-            moving_section_family(COLLINEAR, W112, 2, 1))
+        fib = checked_fibre(COLLINEAR, W112, 2)
         basis = MonomialBasis(2, 2)
-        assert _span_equal(fib.basis, [_unit_row(basis, m) for m in
-                                       [(1, 0, 1), (0, 1, 1), (0, 0, 2)]])
+        assert span_equal(fib.basis, [_unit_row(basis, m) for m in
+                                      [(1, 0, 1), (0, 1, 1), (0, 0, 2)]])
         assert fib.graded_dims == {-1: 2, -4: 1}
         assert fib.trace == 6
 
     def test_matrix_route_matches_kernel_route(self):
-        # the scalable dim/trace computation must agree with the explicit
-        # flat limit on every cell of a small grid
-        cases = [(COLLIDING, W011), (COLLINEAR, W112), (CALIBRATION, W211),
+        # both forms of graded_limit must agree with the PolyT flat limit
+        # (graded dims, trace, span) on every cell of a small grid
+        cases = [(COLLIDING, W011, (1, 2, 3), (1, 2)),
+                 (COLLINEAR, W112, (1, 2, 3), (1, 2)),
+                 (CALIBRATION, W211, (1, 2, 3), (1, 2)),
                  (normalize_cycle(P2, [([1, 1, 1], 2), ([1, 0, 0], 1)]),
-                  DiagonalOnePS((1, 0, -1)))]
-        for cycle, alpha in cases:
-            for gamma in (1, 2, 3):
-                for r in (1, 2):
-                    fam = moving_section_family(cycle, alpha, gamma, r)
-                    fib = central_fibre_sections(fam)
+                  DiagonalOnePS((1, 0, -1)), (1, 2, 3), (1, 2)),
+                 (normalize_cycle(P3, [([1, 0, 0, 0], 1), ([1, 1, 0, 0], 1),
+                                       ([1, 2, 3, 4], 2)]),
+                  DiagonalOnePS((1, 1, -1, -1)), (1, 2), (1,))]
+        for cycle, alpha, gammas, rs in cases:
+            for gamma in gammas:
+                for r in rs:
+                    fib = checked_fibre(cycle, alpha, gamma, r)
                     dim, tr, graded, _ = _central_summary(
                         cycle, alpha, gamma * r, r)
                     assert dim == fib.dim
                     assert tr == fib.trace
                     assert graded == fib.graded_dims
+
+
+_COORD = st.integers(-2, 3)
+
+
+@st.composite
+def _small_cases(draw):
+    n = draw(st.sampled_from((2, 3)))
+    coords = st.lists(_COORD, min_size=n + 1, max_size=n + 1).filter(any)
+    points = draw(st.lists(st.tuples(coords, st.integers(1, 2)),
+                           min_size=1, max_size=3))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=n + 1,
+                            max_size=n + 1))
+    gamma, r = draw(st.sampled_from(((1, 1), (2, 1), (3, 1), (1, 2),
+                                     (1, 3))))
+    return (normalize_cycle(Ambient.projective(n), points),
+            DiagonalOnePS(tuple(weights)), gamma, r)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_cases())
+def test_graded_basis_spans_the_polyt_limit(case):
+    cycle, alpha, gamma, r = case
+    fib = central_fibre_sections(cycle, alpha, gamma * r, r)
+    fam = moving_section_family(cycle, alpha, gamma, r)
+    assert span_equal(fib.basis, limit_subspace(fam.basis))
 
 
 class TestCentralFibreCycle:
