@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -240,23 +239,17 @@ def check_no_common_zero(cycle: WeightedCycle) -> bool:
         raise ValueError("common-zero check needs a projective ambient")
     if cycle.is_empty:
         return False
-    n = cycle.ambient.n
-    dim = n + 1
-    pts = [p.coords for p, _ in cycle.points]
-    nvars = dim * dim + len(pts)
-    rows: list[list[Fraction]] = []
-    for i, coords in enumerate(pts):
+    dim = cycle.ambient.n + 1
+    nvars = dim * dim + len(cycle.points)
+    rows: list[list[int]] = []
+    for i, (p, _) in enumerate(cycle.points):
+        # each p_i may be rescaled: the equations are homogeneous in it
+        den = math.lcm(*(x.denominator for x in p.coords))
+        coords = [int(x * den) for x in p.coords]
         for j in range(dim):
-            row = [Fraction(0)] * nvars
-            for k in range(dim):
-                row[j * dim + k] = coords[k]
+            row = [0] * nvars
+            row[j * dim:(j + 1) * dim] = coords
             row[dim * dim + i] = -coords[j]
             rows.append(row)
-    int_rows = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        int_rows.append([int(x * den) for x in row])
-    rank, _ = int_rank_profile(int_rows, nvars)
+    rank, _ = int_rank_profile(rows, nvars)
     return nvars - rank == 1

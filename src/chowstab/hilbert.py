@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ZeroLeadingCoefficient
 from .exactcore import int_rank_profile
@@ -128,9 +128,7 @@ def _point_int_data(p: ProjectivePoint) -> tuple[int, list[int], int]:
     """Pivot index, integer numerators of affine coords, common denominator."""
     piv = p.pivot_index
     affine = [p.coords[j] for j in range(len(p.coords)) if j != piv]
-    den = 1
-    for u in affine:
-        den = den * u.denominator // math.gcd(den, u.denominator)
+    den = math.lcm(*(u.denominator for u in affine))
     nums = [int(u * den) for u in affine]
     return piv, nums, den
 
@@ -296,9 +294,7 @@ class CentralPrediction:
 
 
 def predicted_central_coeffs(cycle: WeightedCycle, alpha: DiagonalOnePS,
-                             gamma: int,
-                             base: Optional[ExpansionCoeffs] = None
-                             ) -> CentralPrediction:
+                             gamma: int) -> CentralPrediction:
     """Predicted primed coefficients for the blowup test configuration.
 
     c0' = c0 g^n - sum a^n / n!
@@ -314,8 +310,7 @@ def predicted_central_coeffs(cycle: WeightedCycle, alpha: DiagonalOnePS,
         raise ValueError("prediction needs ambient dimension at least 2")
     if gamma < 1:
         raise ValueError("gamma must be positive")
-    if base is None:
-        base = base_coeffs(n, alpha)
+    base = base_coeffs(n, alpha)
     mult = dict(cycle.points)
     nf = math.factorial(n)
     half_n2 = 2 * math.factorial(n - 2)

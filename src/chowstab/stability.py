@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import SubspaceNotSpannedBySupport, VerificationFailed
-from .exactcore import QQ, _rref, _solve
+from .exactcore import _rref, _solve
 from .geometry import (DiagonalOnePS, ProductPoint, ProjectivePoint,
                        WeightedCycle)
 
@@ -77,8 +77,15 @@ def chow_weight(cycle: WeightedCycle, alpha: DiagonalOnePS,
 # linear subspaces spanned by support points
 
 
+def _independent(rows: Sequence[Sequence[Fraction]],
+                 v: Sequence[Fraction]) -> bool:
+    """Whether v lies outside the span of the independent rows."""
+    probe = [list(r) for r in rows] + [list(v)]
+    return _rref(probe)[0] == len(probe)
+
+
 class Subspace:
-    """A proper linear subspace of P^n spanned by cycle support points."""
+    """A linear subspace of P^n spanned by cycle support points."""
 
     __slots__ = ("rref", "spanning_points")
 
@@ -101,9 +108,7 @@ class Subspace:
         return len(self.rref[0]) - 1
 
     def contains(self, p: ProjectivePoint) -> bool:
-        rows = [list(r) for r in self.rref] + [list(p.coords)]
-        rank, _ = _rref(rows)
-        return rank == len(self.rref)
+        return not _independent(self.rref, p.coords)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.rref == other.rref
@@ -134,34 +139,24 @@ class RatioRecord:
         return self.ratio == self.threshold
 
 
-def _scan_subspaces(cycle: WeightedCycle) -> list[tuple[tuple[int, ...], RatioRecord]]:
-    """All distinct proper subspaces spanned by support subsets.
+def _independent_subsets(points: Sequence[ProjectivePoint], max_size: int):
+    """Yield (indices, Subspace) for every independent subset of points.
 
-    Enumeration goes by subset size then lexicographic index order, and a
-    span is kept with its first (hence minimal independent) spanning subset.
-    Returns pairs (spanning index tuple, record).
+    Subsets come by size, then in lexicographic index order; each one
+    extends an independent subset that is one point smaller, so a span
+    first shows up with a minimal spanning subset.
     """
-    if not cycle.ambient.is_projective:
-        raise ValueError("subspace scan needs a projective ambient")
-    n = cycle.ambient.n
-    support = cycle.support()
-    total = cycle.total_mass()
-    threshold = Fraction(total, n + 1)
-    seen: set = set()
-    out = []
-    for size in range(1, min(len(support), n) + 1):
-        for idx in itertools.combinations(range(len(support)), size):
-            v = Subspace([support[i] for i in idx])
-            if v.dim > n - 1:
-                continue
-            if v.rref in seen:
-                continue
-            seen.add(v.rref)
-            mass = sum(m for p, m in cycle.points if v.contains(p))
-            rec = RatioRecord(v, mass, total, Fraction(mass, v.dim + 1),
-                              threshold)
-            out.append((idx, rec))
-    return out
+    layer: list[tuple[int, ...]] = [()]
+    for size in range(1, min(len(points), max_size) + 1):
+        grown = []
+        for idx in layer:
+            for j in range(idx[-1] + 1 if idx else 0, len(points)):
+                child = idx + (j,)
+                sub = Subspace([points[i] for i in child])
+                if len(sub.rref) == size:
+                    grown.append(child)
+                    yield child, sub
+        layer = grown
 
 
 def find_unstable_subspace(cycle: WeightedCycle) -> Optional[RatioRecord]:
@@ -185,7 +180,8 @@ class Destabilizer:
     chow_weight: Fraction
 
 
-def _complete_basis(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
+def _complete_basis(rows: Sequence[Sequence[Fraction]],
+                    n: int) -> list[list[Fraction]]:
     """Extend independent rows to a basis of Q^(n+1) by standard vectors."""
     basis = [list(r) for r in rows]
     for i in range(n + 1):
@@ -193,9 +189,7 @@ def _complete_basis(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
             break
         cand = [Fraction(0)] * (n + 1)
         cand[i] = Fraction(1)
-        probe = [list(r) for r in basis] + [cand]
-        rank, _ = _rref(probe)
-        if rank == len(basis) + 1:
+        if _independent(basis, cand):
             basis.append(cand)
     if len(basis) != n + 1:
         raise VerificationFailed("standard vectors did not complete a basis")
@@ -229,9 +223,7 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
     # reduce the spanning points to an independent set, in order
     rows: list[list[Fraction]] = []
     for p in subspace.spanning_points:
-        probe = [list(r) for r in rows] + [list(p.coords)]
-        rank, _ = _rref(probe)
-        if rank == len(rows) + 1:
+        if _independent(rows, p.coords):
             rows.append(list(p.coords))
     if len(rows) != k + 1:
         raise VerificationFailed(
@@ -285,25 +277,33 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
     witness_ratios collects the subspaces sitting exactly on the boundary
     ratio, which separate the stable and strictly semistable outcomes.
     """
-    records = _scan_subspaces(cycle)
-    boundary = tuple(rec for _, rec in records if rec.is_boundary)
+    if not cycle.ambient.is_projective:
+        raise ValueError("subspace scan needs a projective ambient")
+    n = cycle.ambient.n
+    total = cycle.total_mass()
+    threshold = Fraction(total, n + 1)
+    seen: set = set()
+    boundary = []
     best = None
-    best_key = None
-    for idx, rec in records:
-        if not rec.is_violating:
+    # scan order is (dim, spanning idx), so the first maximal ratio wins
+    for _, v in _independent_subsets(cycle.support(), n):
+        if v.rref in seen:
             continue
-        key = (-rec.ratio, rec.subspace.dim, idx)
-        if best is None or key < best_key:
-            best, best_key = rec, key
-    if best is not None:
-        dest = destabilizer_from_subspace(cycle, best.subspace)
-        cert = InstabilityCertificate(best.subspace, best.mass_on_v,
-                                      best.total_mass, best.ratio,
-                                      best.threshold, dest)
-        return StabilityVerdict(UNSTABLE, cert, boundary)
-    if boundary:
-        return StabilityVerdict(STRICTLY_SEMISTABLE, None, boundary)
-    return StabilityVerdict(STABLE, None, ())
+        seen.add(v.rref)
+        mass = sum(m for p, m in cycle.points if v.contains(p))
+        rec = RatioRecord(v, mass, total, Fraction(mass, v.dim + 1), threshold)
+        if rec.is_boundary:
+            boundary.append(rec)
+        elif rec.is_violating and (best is None or rec.ratio > best.ratio):
+            best = rec
+    if best is None:
+        status = STRICTLY_SEMISTABLE if boundary else STABLE
+        return StabilityVerdict(status, None, tuple(boundary))
+    dest = destabilizer_from_subspace(cycle, best.subspace)
+    cert = InstabilityCertificate(best.subspace, best.mass_on_v,
+                                  best.total_mass, best.ratio,
+                                  best.threshold, dest)
+    return StabilityVerdict(UNSTABLE, cert, tuple(boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +337,10 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
                 for i in range(n + 1))
     bases: list[tuple[tuple[int, ...], tuple]] = [((), std)]
     seen = {std}
-    for size in range(1, min(len(support), n + 1) + 1):
-        for idx in itertools.combinations(range(len(support)), size):
-            rows = [list(support[i].coords) for i in idx]
-            probe = [list(r) for r in rows]
-            rank, _ = _rref(probe)
-            if rank < size:
-                continue  # dependent subset, its span shows up earlier
-            basis = _complete_basis(rows, n)
-            key = tuple(tuple(r) for r in basis)
-            if key in seen:
-                continue
+    for idx, _ in _independent_subsets(support, n + 1):
+        basis = _complete_basis([support[i].coords for i in idx], n)
+        key = tuple(tuple(r) for r in basis)
+        if key not in seen:
             seen.add(key)
             bases.append((idx, key))
 

@@ -25,8 +25,8 @@ from .exactcore import (PolyT, _solve, graded_limit, int_rank_profile,
 from .geometry import (DiagonalOnePS, ProjectivePoint, WeightedCycle,
                        chow_multiplicities, collision_clusters, normalize_cycle)
 from .hilbert import (ExpansionCoeffs, FatPointSpec, MonomialBasis,
-                      _int_jet_rows, base_coeffs, futaki_from_coeffs,
-                      jet_vanishing_matrix, lifting_shift,
+                      _int_jet_rows, base_coeffs, fat_point_length,
+                      futaki_from_coeffs, jet_vanishing_matrix, lifting_shift,
                       predicted_central_coeffs, section_trace)
 from .stability import chow_weight
 
@@ -196,23 +196,25 @@ def central_fibre_cycle(cycle: WeightedCycle, alpha: DiagonalOnePS,
     below; it is a diagnostic, not a full ideal presentation.
     """
     reports = []
+    n = cycle.ambient.n
     clusters = collision_clusters(cycle, alpha)
     for d in probe_degrees:
         if d < 1:
-            raise ValueError("need gamma >= 1 and r >= 1")
+            raise ValueError(f"probe degree must be >= 1, got {d}")
         fibre = central_fibre_sections(cycle, alpha, d)
         orders: dict[ProjectivePoint, int] = {}
         if fibre.dim:
-            basis = MonomialBasis(cycle.ambient.n, d)
+            basis = MonomialBasis(n, d)
             for q in clusters:
+                # rows of jet order o sit between the order-o and
+                # order-(o+1) fat point lengths
+                rows = _int_jet_rows(q, d + 1, basis)
                 o = 0
-                while o <= d:
-                    rows = _int_jet_rows(q, o + 1, basis)
-                    ok = all(
+                while o <= d and all(
                         sum(a * b for a, b in zip(row, v)) == 0
-                        for row in rows for v in fibre.basis)
-                    if not ok:
-                        break
+                        for row in rows[fat_point_length(n, o):
+                                        fat_point_length(n, o + 1)]
+                        for v in fibre.basis):
                     o += 1
                 orders[q] = o
         reports.append(DegreeReport(d, fibre.dim, orders))

@@ -225,6 +225,12 @@ class TestLimitCommand:
         assert entry["vanishing_orders"] == [
             {"point": ["1", "0", "0"], "order": 2}]
 
+    def test_probe_degree_below_one(self, tmp_path, capsys):
+        code, payload, err = run_json(tmp_path, capsys, COLLIDING_DOC,
+                                      ["limit", "--gamma-range", "0..2"])
+        assert code == 2 and payload is None
+        assert "probe degree" in err and "0" in err
+
 
 class TestBalanceCommand:
     def test_convergent_rational_input(self, tmp_path, capsys):

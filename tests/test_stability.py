@@ -12,6 +12,8 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix, Rational
 
 import chowstab
@@ -145,9 +147,16 @@ class TestClassify:
         verdict = classify(TRIANGLE)
         assert verdict.status == "strictly_semistable"
         assert verdict.certificate is None
-        # all three vertices and all three edges sit on the boundary ratio
-        assert len(verdict.witness_ratios) == 6
+        # all three vertices and all three edges sit on the boundary ratio,
+        # in scan order: by dimension, then by spanning support indices
         assert all(r.is_boundary for r in verdict.witness_ratios)
+        assert [r.subspace.dim for r in verdict.witness_ratios] == [
+            0, 0, 0, 1, 1, 1]
+        s = TRIANGLE.support()
+        assert [r.subspace.spanning_points
+                for r in verdict.witness_ratios] == [
+            (s[0],), (s[1],), (s[2],), (s[0], s[1]), (s[0], s[2]),
+            (s[1], s[2])]
 
     def test_two_unit_points_on_line_are_strictly_semistable(self):
         cyc = normalize_cycle(P1, [([1, 0], 1), ([0, 1], 1)])
@@ -169,6 +178,24 @@ class TestClassify:
         assert cert.subspace.dim == 1
         assert cert.destabilizer.ops.weights == (1, 1, -2)
         assert cert.destabilizer.chow_weight == 3
+
+    def test_tied_ratio_prefers_the_point_over_the_line(self):
+        # [1:0:0] (mass 2) and the line z = 0 (mass 4) both have ratio 2
+        cyc = normalize_cycle(P2, [([1, 0, 0], 2), ([0, 1, 0], 1),
+                                   ([1, 1, 0], 1), ([0, 0, 1], 1)])
+        cert = classify(cyc).certificate
+        assert cert.ratio == 2
+        assert cert.subspace.spanning_points == (ProjectivePoint([1, 0, 0]),)
+
+    def test_tied_points_prefer_the_earliest_support_index(self):
+        # [0:1:0] and [1:0:0] (mass 2 each) and the line through them tie at
+        # ratio 2; [0:1:0] comes first in the sorted support
+        cyc = normalize_cycle(P2, [([1, 0, 0], 2), ([0, 1, 0], 2),
+                                   ([0, 0, 1], 1)])
+        assert cyc.support().index(ProjectivePoint([0, 1, 0])) == 1
+        cert = classify(cyc).certificate
+        assert cert.ratio == 2
+        assert cert.subspace.spanning_points == (ProjectivePoint([0, 1, 0]),)
 
     def test_find_unstable_subspace_matches_certificate(self):
         rec = find_unstable_subspace(HEAVY)
@@ -296,3 +323,55 @@ class TestSearchOracle:
         cyc = normalize_cycle(amb, [([1, 0, 1, 0], 1)])
         with pytest.raises(ValueError):
             exhaustive_ops_search(cyc, 1)
+
+
+_SMALL_COORD = st.integers(-2, 2)
+
+
+@st.composite
+def _small_cycles(draw):
+    """P^1/P^2 cycles with n+1 to four points."""
+    n = draw(st.sampled_from((1, 2)))
+    coords = st.lists(_SMALL_COORD, min_size=n + 1, max_size=n + 1).filter(any)
+    points = draw(st.lists(st.tuples(coords, st.integers(1, 2)),
+                           min_size=n + 1, max_size=4))
+    return normalize_cycle(Ambient.projective(n), points)
+
+
+def _invariants(cycle):
+    """Status, largest violating ratio and number of boundary subspaces."""
+    verdict = classify(cycle)
+    ratio = verdict.certificate.ratio if verdict.is_unstable else None
+    return verdict.status, ratio, len(verdict.witness_ratios)
+
+
+def _moved(cycle, matrix):
+    return normalize_cycle(cycle.ambient, [
+        ([sum(a * c for a, c in zip(row, p.coords)) for row in matrix], m)
+        for p, m in cycle.points])
+
+
+class TestInvariance:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_small_cycles())
+    def test_classify_agrees_with_search(self, cycle):
+        res = exhaustive_ops_search(cycle, 2)
+        assert res.weight >= 0
+        assert (res.weight > 0) == classify(cycle).is_unstable
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_small_cycles(), st.data())
+    def test_verdict_under_integer_change_of_coordinates(self, cycle, data):
+        n1 = cycle.ambient.n + 1
+        row = st.lists(_SMALL_COORD, min_size=n1, max_size=n1)
+        g = data.draw(st.lists(row, min_size=n1, max_size=n1).filter(
+            lambda m: Matrix(m).det() != 0))
+        assert _invariants(_moved(cycle, g)) == _invariants(cycle)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_small_cycles(), st.data())
+    def test_verdict_under_coordinate_permutation(self, cycle, data):
+        n1 = cycle.ambient.n + 1
+        perm = data.draw(st.permutations(range(n1)))
+        g = [[1 if j == perm[i] else 0 for j in range(n1)] for i in range(n1)]
+        assert _invariants(_moved(cycle, g)) == _invariants(cycle)
