@@ -2,6 +2,8 @@
 
 The exact layers (geometry, stability, hilbert, testconfig) work over
 rational numbers throughout; balance is the one floating-point module.
+The rank profile in exactcore multiplies residue matrices in float64, but
+only on integers below 2^53, which float64 holds exactly.
 """
 
 from .errors import (ChowstabError, DependentFamily, NonRationalCoordinate,

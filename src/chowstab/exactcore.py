@@ -3,8 +3,12 @@
 `graded_limit` computes every weight-graded flat limit the package needs.
 The Q[t] part (PolyT and limit_subspace) computes the same limits by
 another route and is kept only as the reference the tests compare against.
-Everything here is done with exact integers and `fractions.Fraction`; no
-floating point enters any computation in this module.  Matrices are dense,
+Everything here is done with exact integers and `fractions.Fraction`, with
+one exception: the certified rank profile (`int_rank_profile`) multiplies
+residue matrices mod a prime in `_mulmod` through float64 matrix products.
+There every entry is split into 16-bit pieces, so every value the float
+products hold is an integer below 2^53, which float64 represents exactly;
+the results are converted back to int64 residues.  Matrices are dense,
 which is all the rest of the package needs (a few thousand columns at
 most).
 """
@@ -13,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DependentFamily, VerificationFailed
 
@@ -227,15 +234,16 @@ def _solve(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
     return x
 
 
-def int_rank_profile(rows: list[list[int]], ncols: int
-                     ) -> tuple[int, list[int]]:
+def _bareiss_rank_profile(rows: Sequence[Sequence[int]], ncols: int
+                          ) -> tuple[int, list[int]]:
     """Rank and pivot columns of an integer matrix, fraction-free.
 
-    Bareiss one-step elimination: every intermediate entry is a minor of the
-    input, and the division by the previous pivot is exact.  `rows` is
-    consumed.  Columns are scanned left to right, so the pivot columns are
-    the lexicographically first independent ones.
+    Bareiss one-step elimination on a copy of `rows`: every intermediate
+    entry is a minor of the input, and the division by the previous pivot is
+    exact.  It is the fallback of `int_rank_profile` and the oracle its
+    tests compare against.
     """
+    rows = [list(row) for row in rows]
     rank = 0
     prev = 1
     pivots = []
@@ -271,6 +279,269 @@ def int_rank_profile(rows: list[list[int]], ncols: int
     return rank, pivots
 
 
+# The 32 largest primes below 2^31.  Residues stay below 2^31, so the
+# product of two of them fits in int64.
+PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921)
+
+_WIDE = 1 << 62     # entries at or above this stay Python ints
+_PIECE = 1 << 16    # _mulmod splits residues into pieces below this
+_COLS = 128         # free columns certified together
+_ROWS = 64          # rows of the matrix checked together
+
+
+def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
+                     ) -> tuple[int, list[int]]:
+    """Rank and pivot columns of an integer matrix, certified exact.
+
+    The pivot columns are the lexicographically first independent ones,
+    the same as in the reduced row echelon form over Q.  `rows` is left
+    unchanged.
+
+    Each prime p of PRIMES gives a profile by Gauss-Jordan elimination mod
+    p.  A pivot minor that is nonzero mod p is nonzero over Z, so every
+    prefix rank mod p is a lower bound for the prefix rank over Q.  The
+    profile is certified when every nonzero free column f, up to the
+    column where the prefix rank reaches the number of rows, carries an
+    integer kernel vector w with w_f != 0 and every other nonzero entry at
+    an earlier pivot, and A w = 0 is checked exactly (`_certify`): then
+    column f is in the span of the earlier pivot columns, so no prefix rank
+    over Q exceeds the one mod p.  A reconstruction or check that fails
+    adds the next prime; a prime whose profile some prefix rank shows to be
+    smaller is unlucky and dropped.  When PRIMES runs out,
+    `_bareiss_rank_profile` decides.
+    """
+    nrows = len(rows)
+    if not nrows or not ncols:
+        return 0, []
+    a, top = _int_array(rows, ncols)
+    # zero columns are free and need no certificate
+    live = np.flatnonzero(a.any(axis=0))
+    a = a[:, live]
+    pivots = None
+    for p in PRIMES:
+        ech = _residues(a, p)
+        piv = _rref_mod(ech, p)
+        if piv != pivots:
+            if pivots is not None and not _dominates(piv, pivots):
+                continue
+            pivots, primes, blocks = piv, [], []
+            end = piv[-1] if len(piv) == nrows else live.size
+            free = np.ones(live.size, dtype=bool)
+            free[piv] = False
+            pending = np.flatnonzero(free[:end])
+        if pending.size:
+            # the kernel vector of free column f: unit at f, minus the RREF
+            # entries of column f at the earlier pivots
+            x = ech[:len(pivots), pending]
+            del ech
+            x = x.astype(np.int32)
+            x[np.array(pivots, dtype=np.intp)[:, None] > pending] = 0
+            primes.append(p)
+            blocks.append(x)
+            ok = np.concatenate([
+                _certify(a, top, pivots, pending[c:c + _COLS], primes,
+                         [b[:, c:c + _COLS] for b in blocks])
+                for c in range(0, pending.size, _COLS)])
+            pending = pending[~ok]
+            blocks = [b[:, ~ok] for b in blocks]
+        if not pending.size:
+            return len(pivots), live[pivots].tolist()
+    return _bareiss_rank_profile(rows, ncols)
+
+
+def _int_array(rows: Sequence[Sequence[int]], ncols: int
+               ) -> tuple[np.ndarray, int]:
+    """The matrix as an int64 array when every entry is below 2^62 in
+    absolute value, else as an object array of Python ints; and the largest
+    absolute entry."""
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = None
+    if a is None or (a.size and (a.min() <= -_WIDE or a.max() >= _WIDE)):
+        a = np.array(rows, dtype=object)
+    if a.shape != (len(rows), ncols):
+        raise ValueError(f"rows do not form a {len(rows)} x {ncols} matrix")
+    top = max(abs(int(a.max())), abs(int(a.min()))) if a.size else 0
+    return a, top
+
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """Entries of an int64 or object array mod p, as int64 in [0, p)."""
+    return (a % p).astype(np.int64, copy=False)
+
+
+def _rref_mod(m: np.ndarray, p: int) -> list[int]:
+    """In-place Gauss-Jordan elimination of a residue matrix mod p.
+
+    Returns the pivot columns; the first len(pivots) rows of m become the
+    nonzero rows of the reduced row echelon form mod p.
+    """
+    nrows, ncols = m.shape
+    pivots: list[int] = []
+    col = 0
+    while len(pivots) < nrows and col < ncols:
+        rank = len(pivots)
+        nz = np.flatnonzero(m[rank:, col])
+        if not nz.size:
+            live = np.flatnonzero(m[rank:, col:].any(axis=0))
+            if not live.size:
+                break
+            col += int(live[0])
+            nz = np.flatnonzero(m[rank:, col])
+        pr = rank + int(nz[0])
+        if pr != rank:
+            m[[rank, pr]] = m[[pr, rank]]
+        m[rank, col:] = m[rank, col:] * pow(int(m[rank, col]), -1, p) % p
+        f = m[:, col].copy()
+        f[rank] = 0
+        hit = np.flatnonzero(f)
+        if hit.size:
+            m[hit, col:] = (m[hit, col:] - f[hit, None] * m[rank, col:]) % p
+        pivots.append(col)
+        col += 1
+    return pivots
+
+
+def _dominates(new: list[int], old: list[int]) -> bool:
+    """Every prefix rank of the profile `new` is at least that of `old`."""
+    return len(new) >= len(old) and all(x <= y for x, y in zip(new, old))
+
+
+def _certify(a: np.ndarray, top: int, pivots: list[int],
+             pending: np.ndarray, primes: list[int], blocks: list[np.ndarray]
+             ) -> np.ndarray:
+    """Which pending free columns have a verified integer kernel vector.
+
+    blocks[k] holds mod primes[k] the RREF entries x of the pending columns
+    at the earlier pivots.  For column f with denominator d the candidate
+    is w = d e_f - sum_i y_i e_pivots[i], y = d x lifted from the residues
+    (`_reconstruct`).  Every entry of A w is an integer of absolute value at
+    most top * |w|_1, so A w = 0 as soon as it vanishes mod primes whose
+    product exceeds twice that bound.  The check takes _ROWS rows of A at a
+    time, which bounds its memory.
+    """
+    nonzero = blocks[0] != 0
+    for x in blocks[1:]:
+        nonzero |= x != 0
+    col, row = np.nonzero(nonzero.T)
+    vals, m = _crt([x[row, col] for x in blocks], primes)
+    d, y = _reconstruct(vals, col, pending.size, m)
+    ok = d != 0
+    if not ok.any():
+        return ok
+    norm = d.copy()
+    if col.size:
+        starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+        norm[col[starts]] += np.add.reduceat(np.abs(y), starts)
+    bound = 2 * top * int(norm[ok].max())
+    checks, prod = [], 1
+    for q in PRIMES:
+        if prod > bound:
+            break
+        checks.append(q)
+        prod *= q
+    if prod <= bound:
+        return np.zeros_like(ok)
+    for q in checks:
+        dq = _residues(d, q)
+        yq = np.zeros((len(pivots), pending.size), dtype=np.int64)
+        yq[row, col] = _residues(-y, q)
+        yq = _pieces(yq)
+        for s in range(0, a.shape[0], _ROWS):
+            aw = _residues(a[s:s + _ROWS, pending], q) * dq % q
+            aw += _mulmod(_pieces(_residues(a[s:s + _ROWS, pivots], q)), yq, q)
+            ok &= ~(aw % q).any(axis=0)
+    return ok
+
+
+def _crt(residues: list[np.ndarray], primes: list[int]
+         ) -> tuple[np.ndarray, int]:
+    """Values mod the product of distinct primes from their residues; int64
+    for one prime, Python ints for more."""
+    v, m = residues[0].astype(np.int64), primes[0]
+    if len(primes) > 1:
+        v = v.astype(object)
+    for r, p in zip(residues[1:], primes[1:]):
+        t = (r - _residues(v, p)) * pow(m, -1, p) % p
+        v, m = v + m * t.astype(object), m * p
+    return v, m
+
+
+def _reconstruct(vals: np.ndarray, col: np.ndarray, ncol: int, m: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Common denominators of the columns of a sparse matrix mod m.
+
+    vals[k] is the entry mod m in column col[k], col ascending.  Returns d
+    and y: for each column c either d[c] = 0 (nothing found at this m), or
+    0 < d[c] <= b, b = isqrt(m // 2), and every y[k] with col[k] = c is
+    d[c] * vals[k] mod m in the symmetric range with |y[k]| <= b.  Each
+    round takes one entry that is still too large per column and
+    multiplies d[c] by the denominator of its rational reconstruction.
+    vals is int64 when m is a single prime: then every product stays below
+    2^31 * b < 2^47.
+    """
+    half = m // 2
+    bound = isqrt(half)
+    d = np.ones(ncol, dtype=vals.dtype)
+    y = np.where(vals > half, vals - m, vals)
+    idx = np.arange(vals.size)
+    while idx.size:
+        big = idx[np.abs(y[idx]) > bound]
+        if not big.size:
+            break
+        # col is ascending: the first large entry of each column
+        first = big[np.r_[True, col[big[1:]] != col[big[:-1]]]]
+        for c, k in zip(col[first].tolist(), first.tolist()):
+            b = _denominator(int(y[k]) % m, m, bound)
+            d[c] = 0 if b is None or d[c] * b > bound else d[c] * b
+        redo = np.zeros(ncol, dtype=bool)
+        redo[col[first]] = True
+        idx = np.flatnonzero(redo[col])
+        yi = vals[idx] * d[col[idx]] % m
+        y[idx] = np.where(yi > half, yi - m, yi)
+    return d, y
+
+
+def _denominator(u: int, m: int, bound: int) -> Optional[int]:
+    """The denominator b <= bound of a fraction a/b = u mod m with |a| <=
+    bound, by the extended Euclidean algorithm; None if there is none."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if abs(t1) <= bound else None
+
+
+def _pieces(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A residue matrix as float64 pieces hi, lo with x = hi * 2^16 + lo."""
+    hi, lo = np.divmod(x, _PIECE)
+    return hi.astype(np.float64), lo.astype(np.float64)
+
+
+def _mulmod(a: tuple[np.ndarray, np.ndarray],
+            b: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
+    """a @ b mod p for residue matrices given as `_pieces`.
+
+    Residues are below 2^31, so every piece product is below 2^32 and,
+    with an inner dimension below 2^21, every inner product is an integer
+    below 2^53, which float64 represents and sums exactly.
+    """
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    if a_hi.shape[1] >= 1 << 21:
+        raise ValueError("inner dimension too large for exact float64 sums")
+    hh = (a_hi @ b_hi).astype(np.int64) % p
+    mid = (a_hi @ b_lo + a_lo @ b_hi).astype(np.int64)
+    lo = (a_lo @ b_lo).astype(np.int64)
+    return ((hh * _PIECE + mid) % p * _PIECE + lo) % p
+
+
 # ---------------------------------------------------------------------------
 # the weight-graded flat limit of a kernel
 
@@ -293,8 +564,9 @@ def graded_limit(rows: Sequence[Sequence[int]], weights: Sequence[int],
 
     Returns (rank, {weight: dim}, basis).  With want_basis the basis of
     top-weight parts is returned in the original column order, from a
-    Fraction kernel; otherwise only the fraction-free rank profile is
-    taken and the basis is None.  `rows` is left unchanged.
+    Fraction kernel; otherwise only the certified rank profile
+    (`int_rank_profile`) is taken and the basis is None.  `rows` is left
+    unchanged.
     """
     ncols = len(weights)
     order = sorted(range(ncols), key=lambda j: (weights[j], j))

@@ -195,10 +195,7 @@ def jet_vanishing_matrix(spec: FatPointSpec) -> list[list[int]]:
 def h0_with_vanishing(spec: FatPointSpec) -> int:
     """dim of degree-d forms vanishing to order r*a_i at every point."""
     basis = MonomialBasis(spec.cycle.ambient.n, spec.degree)
-    rows = jet_vanishing_matrix(spec)
-    if not rows:
-        return len(basis)
-    rank, _ = int_rank_profile(rows, len(basis))
+    rank, _ = int_rank_profile(jet_vanishing_matrix(spec), len(basis))
     return len(basis) - rank
 
 

@@ -113,7 +113,7 @@ def _verify_family(fam: SectionFamily, rank1: int, ncols: int) -> None:
     if len(moved) != len(fam.cycle):
         raise RankDrop("moved points collided at a nonzero parameter")
     rows = jet_vanishing_matrix(FatPointSpec(moved, fam.degree, fam.r))
-    rank_t0, _ = int_rank_profile([row[:] for row in rows], ncols)
+    rank_t0, _ = int_rank_profile(rows, ncols)
     if rank_t0 != rank1:
         raise RankDrop(
             f"jet rank {rank_t0} at t={t0} differs from generic rank {rank1}")
@@ -164,7 +164,7 @@ def _central_summary(cycle: WeightedCycle, alpha: DiagonalOnePS,
     """dim, trace, graded dimensions and jet separation of the limit.
 
     The dimension-only form of central_fibre_sections: it takes the
-    fraction-free rank profile of the weight-sorted jet matrix instead of a
+    certified rank profile of the weight-sorted jet matrix instead of a
     kernel basis, and so scales to large degrees.  The last entry says
     whether the jet conditions are independent.
     """

@@ -3,13 +3,22 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chowstab import exactcore
 from chowstab.errors import DependentFamily, VerificationFailed
-from chowstab.exactcore import (PolyT, graded_limit, int_rank_profile,
+from chowstab.exactcore import (PRIMES, PolyT, _bareiss_rank_profile,
+                                _int_array, _residues, _rref_mod,
+                                graded_limit, int_rank_profile,
                                 interpolate_poly, limit_subspace, poly_eval,
                                 rank_kernel)
+from chowstab.geometry import Ambient, DiagonalOnePS, normalize_cycle
+from chowstab.hilbert import FatPointSpec, MonomialBasis, jet_vanishing_matrix
+from optimized import run_optimized
 
 
 def _rand_fraction(rng, lo=-9, hi=9, den=6):
@@ -101,7 +110,7 @@ class TestIntRankProfile:
                     for _ in range(nr)]
             sm = _sympy_matrix([[F(x) for x in row] for row in rows])
             _, spivots = sm.rref()
-            rank, pivots = int_rank_profile([row[:] for row in rows], nc)
+            rank, pivots = int_rank_profile(rows, nc)
             assert rank == sm.rank()
             assert tuple(pivots) == tuple(spivots)
 
@@ -111,14 +120,118 @@ class TestIntRankProfile:
             nr, nc = rng.randint(2, 6), rng.randint(2, 6)
             rows = [[rng.randint(-5, 5) for _ in range(nc)]
                     for _ in range(nr)]
-            rank, _ = int_rank_profile([r[:] for r in rows], nc)
+            rank, _ = int_rank_profile(rows, nc)
             shuffled = rows[:]
             rng.shuffle(shuffled)
-            rank2, _ = int_rank_profile([r[:] for r in shuffled], nc)
+            rank2, _ = int_rank_profile(shuffled, nc)
             assert rank == rank2
 
     def test_empty(self):
         assert int_rank_profile([], 5) == (0, [])
+
+    def test_rows_left_unchanged(self):
+        rows = [[2, 4, 1], [1, 2, 0], [3, 6, 1]]
+        assert int_rank_profile(rows, 3) == (2, [0, 2])
+        assert rows == [[2, 4, 1], [1, 2, 0], [3, 6, 1]]
+
+    def test_entry_equal_to_the_first_prime(self):
+        # zero mod PRIMES[0], so that prime sees rank 0
+        assert int_rank_profile([[PRIMES[0]]], 1) == (1, [0])
+
+    def test_both_first_primes_unlucky(self, monkeypatch):
+        # determinant PRIMES[0] * PRIMES[1]: rank 1 mod either prime, and
+        # the kernel vector (-1, 1) of both is zero mod both
+        rows = [[1, 1], [1, 1 + PRIMES[0] * PRIMES[1]]]
+        for p in PRIMES[:2]:
+            assert _rref_mod(_residues(_int_array(rows, 2)[0], p), p) == [0]
+        calls = []
+        monkeypatch.setattr(exactcore, "_bareiss_rank_profile",
+                            lambda *args: calls.append(args))
+        assert int_rank_profile(rows, 2) == (2, [0, 1])
+        assert calls == []
+
+    def test_entries_beyond_int64(self):
+        big = 2 ** 62
+        cases = [
+            [[big - 1, 1], [1 - big, -1]],                   # int64 path
+            [[big, 1, 3], [2 * big, 2, 6], [1, 0, big]],      # object path
+            [[-big, 5], [3, 2 ** 120 + 7]],
+            [[2 ** 90, 2 ** 91, 1], [2 ** 89, 2 ** 90, 0]],
+        ]
+        assert _int_array(cases[0], 2)[0].dtype == np.int64
+        for rows in cases[1:]:
+            assert _int_array(rows, len(rows[0]))[0].dtype == object
+        for rows in cases:
+            nc = len(rows[0])
+            sm = sympy.Matrix(rows)
+            want = (sm.rank(), list(sm.rref()[1]))
+            assert int_rank_profile(rows, nc) == want
+            assert _bareiss_rank_profile(rows, nc) == want
+
+    def test_falls_back_when_the_primes_run_out(self, monkeypatch):
+        rows = [[1, 1], [1, 1 + PRIMES[0] * PRIMES[1]]]
+        calls = []
+
+        def spy(rows, ncols):
+            calls.append(ncols)
+            return _bareiss_rank_profile(rows, ncols)
+
+        monkeypatch.setattr(exactcore, "PRIMES", (PRIMES[0],))
+        monkeypatch.setattr(exactcore, "_bareiss_rank_profile", spy)
+        assert int_rank_profile(rows, 2) == (2, [0, 1])
+        assert calls == [2]
+
+    def test_unlucky_primes_under_optimize(self):
+        # no step of the certificate may be an assert statement
+        script = """
+            from chowstab.exactcore import PRIMES, int_rank_profile
+            print(int_rank_profile([[1, 1], [1, 1 + PRIMES[0] * PRIMES[1]]],
+                                   2))
+            """
+        assert run_optimized(script) == "(2, [0, 1])"
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            int_rank_profile([[1, 2], [3]], 2)
+        with pytest.raises(ValueError):
+            int_rank_profile([[1, 2]], 3)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_bareiss_on_low_rank_products(self, data):
+        nr, nc = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 9))
+        k = data.draw(st.integers(0, 4))
+        entry = data.draw(st.sampled_from((st.integers(-4, 4),
+                                           st.integers(-2 ** 70, 2 ** 70))))
+        left = data.draw(_matrices(nr, k, entry))
+        right = data.draw(_matrices(k, nc, entry))
+        rows = [[sum(left[i][t] * right[t][j] for t in range(k))
+                 for j in range(nc)] for i in range(nr)]
+        assert int_rank_profile(rows, nc) == _bareiss_rank_profile(rows, nc)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_bareiss_on_sorted_jet_matrices(self, data):
+        n = data.draw(st.sampled_from((2, 3)))
+        coords = st.lists(st.integers(-3, 3), min_size=n + 1,
+                          max_size=n + 1).filter(any)
+        points = data.draw(st.lists(st.tuples(coords, st.integers(1, 2)),
+                                    min_size=1, max_size=4))
+        weights = data.draw(st.lists(st.integers(-2, 2), min_size=n + 1,
+                                     max_size=n + 1))
+        degree, r = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 2))
+        cycle = normalize_cycle(Ambient.projective(n), points)
+        w = MonomialBasis(n, degree).weights(DiagonalOnePS(tuple(weights)))
+        order = sorted(range(len(w)), key=lambda j: (w[j], j))
+        jets = jet_vanishing_matrix(FatPointSpec(cycle, degree, r))
+        rows = [[row[j] for j in order] for row in jets]
+        assert int_rank_profile(rows, len(w)) == \
+            _bareiss_rank_profile(rows, len(w))
+
+
+def _matrices(nr, nc, entry):
+    return st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                    min_size=nr, max_size=nr)
 
 
 class TestGradedLimit:

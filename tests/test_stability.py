@@ -4,11 +4,7 @@ Independent recomputations use sympy so that the exact linear algebra in
 the package is never trusted to check itself.
 """
 
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
 
 import pytest
@@ -16,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational
 
-import chowstab
 from chowstab import (Ambient, DiagonalOnePS, ProjectivePoint, Subspace,
                       SubspaceNotSpannedBySupport, chow_weight, classify,
                       destabilizer_from_subspace, exhaustive_ops_search,
                       find_unstable_subspace, mumford_weight, normalize_cycle)
+from optimized import run_optimized
 
 P1 = Ambient.projective(1)
 P2 = Ambient.projective(2)
@@ -269,13 +265,10 @@ class TestDestabilizer:
     def test_broken_identity_raises_under_optimize(self):
         # python -O strips assert statements; the adapted weight identity
         # must still raise when mumford_weight is broken
-        script = textwrap.dedent("""
-            import sys
+        script = """
             from chowstab import stability
             from chowstab.errors import VerificationFailed
             from chowstab.geometry import Ambient, normalize_cycle
-            if not sys.flags.optimize:
-                sys.exit("assert statements are live")
             heavy = normalize_cycle(Ambient.projective(2), [
                 ([1, 0, 0], 2), ([0, 1, 0], 1), ([0, 0, 1], 1)])
             sub = stability.Subspace([heavy.support()[0]])
@@ -284,13 +277,8 @@ class TestDestabilizer:
                 stability.destabilizer_from_subspace(heavy, sub)
             except VerificationFailed:
                 print("raised")
-            """)
-        src = os.path.dirname(os.path.dirname(chowstab.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "raised"
+            """
+        assert run_optimized(script) == "raised"
 
 
 class TestSearchOracle:
@@ -329,9 +317,9 @@ _SMALL_COORD = st.integers(-2, 2)
 
 
 @st.composite
-def _small_cycles(draw):
-    """P^1/P^2 cycles with n+1 to four points."""
-    n = draw(st.sampled_from((1, 2)))
+def _small_cycles(draw, dims=(1, 2)):
+    """P^n cycles, n in dims, with n+1 to four points."""
+    n = draw(st.sampled_from(dims))
     coords = st.lists(_SMALL_COORD, min_size=n + 1, max_size=n + 1).filter(any)
     points = draw(st.lists(st.tuples(coords, st.integers(1, 2)),
                            min_size=n + 1, max_size=4))
@@ -375,3 +363,14 @@ class TestInvariance:
         perm = data.draw(st.permutations(range(n1)))
         g = [[1 if j == perm[i] else 0 for j in range(n1)] for i in range(n1)]
         assert _invariants(_moved(cycle, g)) == _invariants(cycle)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_small_cycles(dims=(1, 2, 3)), st.data())
+    def test_chow_weight_under_constant_shift_of_alpha(self, cycle, data):
+        n1 = cycle.ambient.n + 1
+        weights = data.draw(st.lists(st.integers(-3, 3), min_size=n1,
+                                     max_size=n1))
+        c = data.draw(st.integers(-5, 5))
+        shifted = DiagonalOnePS(tuple(w + c for w in weights))
+        assert chow_weight(cycle, shifted) == \
+            chow_weight(cycle, DiagonalOnePS(tuple(weights)))

@@ -7,12 +7,13 @@ forms checked against the implementation on disjoint gamma windows.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowstab import (Ambient, DiagonalOnePS, ExpansionCoeffs,
+from chowstab import (Ambient, ChowstabError, DiagonalOnePS, ExpansionCoeffs,
                       MonomialBasis, PolynomialityFailed, ProjectivePoint,
                       TestConfigSpec, ZeroLeadingCoefficient,
                       central_fibre_cycle, central_fibre_sections,
@@ -179,6 +180,37 @@ def test_graded_basis_spans_the_polyt_limit(case):
     fib = central_fibre_sections(cycle, alpha, gamma * r, r)
     fam = moving_section_family(cycle, alpha, gamma, r)
     assert span_equal(fib.basis, limit_subspace(fam.basis))
+
+
+@st.composite
+def _p2_df_cases(draw):
+    """A P^2 cycle of one to three points, weights, a coordinate
+    permutation and the smallest gamma with gamma^2 > sum a^2."""
+    coords = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)
+    points = draw(st.lists(coords, min_size=1, max_size=3))
+    cycle = normalize_cycle(P2, [(p, 1) for p in points])
+    weights = draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    perm = draw(st.permutations(range(3)))
+    gamma = isqrt(sum(a * a for _, a in cycle.points)) + 1
+    return cycle, weights, perm, gamma
+
+
+def _df_outcome(cycle, weights, gamma):
+    try:
+        return df_invariant(TestConfigSpec(cycle, DiagonalOnePS(weights),
+                                           gamma)).f_exact
+    except ChowstabError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_p2_df_cases())
+def test_df_under_joint_permutation_of_coordinates_and_weights(case):
+    cycle, weights, perm, gamma = case
+    moved = normalize_cycle(P2, [([p.coords[j] for j in perm], a)
+                                 for p, a in cycle.points])
+    assert _df_outcome(moved, tuple(weights[j] for j in perm), gamma) == \
+        _df_outcome(cycle, tuple(weights), gamma)
 
 
 class TestCentralFibreCycle:
