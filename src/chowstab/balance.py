@@ -164,7 +164,8 @@ def balance_flow(cycle: BalanceCycle, step: float = 0.5,
     dim = len(base[0])
     g = np.eye(dim, dtype=complex)
     cur = base
-    residual = balance_residual(cycle, cur)
+    m = total_moment(cycle, cur)
+    residual = float(np.linalg.norm(m, "fro"))
     if residual < tol:
         return FlowReport("converged", residual, float(np.linalg.norm(g)),
                           0, g, cur, step)
@@ -173,13 +174,13 @@ def balance_flow(cycle: BalanceCycle, step: float = 0.5,
     stalled = False
     iterations = 0
     for it in range(1, max_iter + 1):
-        m = total_moment(cycle, cur)
         improved = False
         while step > _MIN_STEP:
             cand_g = _expm_hermitian(-step * m) @ g
             cand = tuple(v / np.linalg.norm(v)
                          for v in (cand_g @ p for p in base))
-            r = balance_residual(cycle, cand)
+            cand_m = total_moment(cycle, cand)
+            r = float(np.linalg.norm(cand_m, "fro"))
             if r <= residual + slack * max(residual, 1.0):
                 improved = True
                 break
@@ -188,7 +189,7 @@ def balance_flow(cycle: BalanceCycle, step: float = 0.5,
             stalled = True
             iterations = it
             break
-        g, cur, residual = cand_g, cand, min(residual, r)
+        g, cur, m, residual = cand_g, cand, cand_m, min(residual, r)
         iterations = it
         if residual < tol:
             status = "converged"

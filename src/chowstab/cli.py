@@ -52,6 +52,11 @@ def _rational(x, field: str) -> Fraction:
     raise SchemaError(f"expected a rational, got {type(x).__name__}", field)
 
 
+def _coordinate(x, field: str):
+    """A balance coordinate: a JSON float stays numeric, else a rational."""
+    return x if isinstance(x, float) else _rational(x, field)
+
+
 def _integer(x, field: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise SchemaError(f"expected an integer, got {x!r}", field)
@@ -177,22 +182,23 @@ def _parse_balance_input(doc: dict) -> tuple[BalanceCycle, Optional[WeightedCycl
         numeric = []
         exact_row = []
         for j, c in enumerate(coords):
+            field = f"{where}.coords[{j}]"
             if isinstance(c, list):
                 if len(c) != 2:
                     raise SchemaError("complex entries are [re, im] pairs",
-                                      f"{where}.coords[{j}]")
-                numeric.append((float(c[0]), float(c[1])))
-                if c[1] == 0 and not isinstance(c[0], float):
-                    exact_row.append(_rational(c[0], f"{where}.coords[{j}]"))
-                else:
-                    all_rational = False
-            elif isinstance(c, float):
-                numeric.append(c)
-                all_rational = False
+                                      field)
+                re, im = (_coordinate(x, f"{field}[{k}]")
+                          for k, x in enumerate(c))
+                numeric.append((re, im))
+                exact = im == 0
             else:
-                val = _rational(c, f"{where}.coords[{j}]")
-                numeric.append(val)
-                exact_row.append(val)
+                re = _coordinate(c, field)
+                numeric.append(re)
+                exact = True
+            if exact and not isinstance(re, float):
+                exact_row.append(re)
+            else:
+                all_rational = False
         coords_list.append(numeric)
         masses.append(float(mult) ** (n - 1))
         if len(exact_row) == n + 1:
@@ -530,7 +536,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc = _load_document(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: cannot read input: {exc}\n")
         return 2
     handler = _HANDLERS[args.command]

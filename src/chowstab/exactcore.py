@@ -220,18 +220,16 @@ def rank_kernel(rows: Sequence[Sequence], ncols: int
     return rank, _kernel_from_rref(work, pivots, ncols)
 
 
-def _solve(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-           ) -> list[Fraction]:
-    """Solve the square system A x = b; raises on a singular matrix."""
+def _solve(a_rows: Sequence[Sequence[Fraction]],
+           bs: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Solve the square system A x = b for every b in bs in one elimination."""
     n = len(a_rows)
-    aug = [list(row) + [_rat(b[i])] for i, row in enumerate(a_rows)]
+    aug = [list(row) + [_rat(b[i]) for b in bs]
+           for i, row in enumerate(a_rows)]
     rank, pivots = _rref(aug)
-    if rank < n or n in pivots:
-        raise ValueError("singular or inconsistent system")
-    x = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        x[p] = aug[r][n]
-    return x
+    if rank < n or any(p >= n for p in pivots):
+        raise ValueError("singular system")
+    return [[aug[r][n + k] for r in range(n)] for k in range(len(bs))]
 
 
 def _bareiss_rank_profile(rows: Sequence[Sequence[int]], ncols: int
@@ -681,7 +679,7 @@ def interpolate_poly(samples: Sequence[tuple], degree: int,
     if not verify:
         raise ValueError("at least one verification sample is required")
     rows = [[x ** k for k in range(degree + 1)] for x in xs]
-    coeffs = _solve(rows, [_rat(v) for _, v in samples])
+    coeffs, = _solve(rows, [[_rat(v) for _, v in samples]])
     for x, v in verify:
         got = poly_eval(coeffs, x)
         if got != _rat(v):

@@ -162,13 +162,9 @@ def _independent_subsets(points: Sequence[ProjectivePoint], max_size: int):
 def find_unstable_subspace(cycle: WeightedCycle) -> Optional[RatioRecord]:
     """Best destabilizing subspace, or None when no ratio is strict.
 
-    This is the subspace of classify's certificate, with its tie-breaks.
+    This is classify's certificate, with its tie-breaks.
     """
-    cert = classify(cycle).certificate
-    if cert is None:
-        return None
-    return RatioRecord(cert.subspace, cert.mass_on_v, cert.total_mass,
-                       cert.ratio, cert.threshold)
+    return classify(cycle).certificate
 
 
 @dataclass(frozen=True)
@@ -197,11 +193,10 @@ def _complete_basis(rows: Sequence[Sequence[Fraction]],
 
 
 def _adapted_coords(basis: Sequence[Sequence[Fraction]],
-                    p: ProjectivePoint) -> list[Fraction]:
-    """Coordinates of p in the given row basis."""
-    n1 = len(basis)
-    cols = [[basis[i][j] for i in range(n1)] for j in range(n1)]
-    return _solve(cols, list(p.coords))
+                    points: Sequence[ProjectivePoint]) -> list[list[Fraction]]:
+    """Coordinates of each point in the given row basis."""
+    cols = [list(col) for col in zip(*basis)]
+    return _solve(cols, [p.coords for p in points])
 
 
 def destabilizer_from_subspace(cycle: WeightedCycle,
@@ -232,11 +227,13 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
     weights = tuple([n - k] * (k + 1) + [-(k + 1)] * (n - k))
     ops = DiagonalOnePS(weights)
     total = Fraction(0)
-    for p, m in cycle.points:
-        coords = _adapted_coords(basis, p)
-        adapted = ProjectivePoint(coords)
-        total += m * mumford_weight(adapted, ops)
-    mass_on_v = sum(m for p, m in cycle.points if subspace.contains(p))
+    mass_on_v = 0
+    adapted = _adapted_coords(basis, cycle.support())
+    for (_, m), coords in zip(cycle.points, adapted):
+        total += m * mumford_weight(ProjectivePoint(coords), ops)
+        # p lies in V exactly when it needs no completing basis vector
+        if not any(coords[k + 1:]):
+            mass_on_v += m
     closed_form = Fraction((n + 1) * mass_on_v
                            - cycle.total_mass() * (k + 1))
     if total != closed_form:
@@ -247,14 +244,9 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
 
 
 @dataclass(frozen=True)
-class InstabilityCertificate:
+class InstabilityCertificate(RatioRecord):
     """Self-contained evidence that a cycle is Chow unstable."""
 
-    subspace: Subspace
-    mass_on_v: int
-    total_mass: int
-    ratio: Fraction
-    threshold: Fraction
     destabilizer: Destabilizer
 
 
@@ -282,15 +274,16 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
     n = cycle.ambient.n
     total = cycle.total_mass()
     threshold = Fraction(total, n + 1)
-    seen: set = set()
+    # each support point of a flat lies in one of its spanning subsets; the
+    # flat keeps its first Subspace, spanned by a minimal subset
+    flats: dict = {}
+    for idx, v in _independent_subsets(cycle.support(), n):
+        flats.setdefault(v.rref, (v, set()))[1].update(idx)
     boundary = []
     best = None
     # scan order is (dim, spanning idx), so the first maximal ratio wins
-    for _, v in _independent_subsets(cycle.support(), n):
-        if v.rref in seen:
-            continue
-        seen.add(v.rref)
-        mass = sum(m for p, m in cycle.points if v.contains(p))
+    for v, members in flats.values():
+        mass = sum(cycle.points[i][1] for i in members)
         rec = RatioRecord(v, mass, total, Fraction(mass, v.dim + 1), threshold)
         if rec.is_boundary:
             boundary.append(rec)
@@ -347,10 +340,8 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     best_score = None
     best = None
     for order, (idx, basis) in enumerate(bases):
-        masks = []
-        for p in support:
-            coords = _adapted_coords(basis, p)
-            masks.append(tuple(i for i, c in enumerate(coords) if c != 0))
+        masks = [tuple(i for i, c in enumerate(coords) if c != 0)
+                 for coords in _adapted_coords(basis, support)]
         for wvec in itertools.product(range(-bound, bound + 1), repeat=n + 1):
             s = sum(wvec)
             score = 0

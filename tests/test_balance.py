@@ -169,6 +169,14 @@ class TestBalanceFlow:
             np.testing.assert_allclose(moved / np.linalg.norm(moved), q,
                                        atol=1e-12)
 
+    def test_pinned_run_with_a_step_halving(self):
+        # values recorded from an earlier build of the flow; a change in
+        # the descent direction or the order of its arithmetic moves them
+        cyc = BalanceCycle.from_raw([[1, 0], [0, 1], [1, 1]], [3, 1, 1])
+        rep = balance_flow(cyc)
+        assert (rep.status, rep.iterations, rep.final_step) == (
+            "diverged", 53, 0.25)
+
     def test_step_validation(self):
         cyc = BalanceCycle.from_raw([[1, 0]], [1])
         with pytest.raises(ValueError):

@@ -262,6 +262,32 @@ class TestBalanceCommand:
         assert payload["status"] == "diverged"
         assert payload["checks"]["no_common_zero"] is False
 
+    def test_pair_entry_that_is_not_a_number(self, tmp_path, capsys):
+        for entry in ({}, None):
+            doc = {"ambient": {"projective": 1},
+                   "points": [{"coords": [1, 0]}, {"coords": [[entry, 0], 1]}]}
+            code, payload, err = run_json(tmp_path, capsys, doc, ["balance"])
+            assert code == 2 and payload is None
+            assert "points[1].coords[0][0]" in err
+
+    def test_rational_string_in_pair_reads_like_a_coordinate(self, tmp_path,
+                                                             capsys):
+        plain = {"ambient": {"projective": 1},
+                 "points": [{"coords": [1, 0]}, {"coords": ["1/3", 1]}]}
+        paired = {"ambient": {"projective": 1},
+                  "points": [{"coords": [1, 0]}, {"coords": [["1/3", 0], 1]}]}
+        code, payload, _ = run_json(tmp_path, capsys, paired, ["balance"])
+        assert code == 0
+        assert payload == run_json(tmp_path, capsys, plain, ["balance"])[1]
+
+    def test_exact_zero_imaginary_part_keeps_exact_check(self, tmp_path,
+                                                         capsys):
+        doc = {"ambient": {"projective": 1},
+               "points": [{"coords": [0, 1]}, {"coords": [["1/2", "0"], 1]}]}
+        code, payload, _ = run_json(tmp_path, capsys, doc, ["balance"])
+        assert code == 0
+        assert payload["checks"]["no_common_zero"] is False
+
     def test_tolerance_flag(self, tmp_path, capsys):
         doc = {"ambient": {"projective": 1},
                "points": [{"coords": [1, 0]}, {"coords": [0, 1]}]}
@@ -280,6 +306,13 @@ class TestEntryPoint:
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        code = main(["check", str(path)])
+        assert code == 2
+        assert "cannot read input" in capsys.readouterr().err
+
+    def test_undecodable_input(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00")
         code = main(["check", str(path)])
         assert code == 2
         assert "cannot read input" in capsys.readouterr().err

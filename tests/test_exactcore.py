@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chowstab import exactcore
 from chowstab.errors import DependentFamily, VerificationFailed
 from chowstab.exactcore import (PRIMES, PolyT, _bareiss_rank_profile,
-                                _int_array, _residues, _rref_mod,
+                                _int_array, _residues, _rref_mod, _solve,
                                 graded_limit, int_rank_profile,
                                 interpolate_poly, limit_subspace, poly_eval,
                                 rank_kernel)
@@ -329,6 +329,30 @@ class TestLimitSubspace:
 
         assert span_rref(limit_subspace(fam)) == \
             span_rref(limit_subspace(mixed))
+
+
+class TestSolve:
+    def test_several_right_hand_sides_match_single_solves(self):
+        rng = random.Random(5140)
+        for n in range(1, 6):
+            while True:
+                a = [[_rand_fraction(rng, -4, 4, 3) for _ in range(n)]
+                     for _ in range(n)]
+                if _sympy_matrix(a).det() != 0:
+                    break
+            bs = [[_rand_fraction(rng, -4, 4, 3) for _ in range(n)]
+                  for _ in range(4)]
+            xs = _solve(a, bs)
+            assert xs == [_solve(a, [b])[0] for b in bs]
+            for x, b in zip(xs, bs):
+                assert (_sympy_matrix(a) * _sympy_matrix([[v] for v in x])
+                        == _sympy_matrix([[v] for v in b]))
+
+    def test_singular_matrix_raises(self):
+        a = [[F(1), F(2)], [F(2), F(4)]]
+        for bs in ([[F(1), F(2)]], [[F(1), F(0)]], [[F(1), F(2)], [F(0)] * 2]):
+            with pytest.raises(ValueError):
+                _solve(a, bs)
 
 
 class TestInterpolatePoly:

@@ -4,6 +4,7 @@ Independent recomputations use sympy so that the exact linear algebra in
 the package is never trusted to check itself.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -337,6 +338,53 @@ def _moved(cycle, matrix):
     return normalize_cycle(cycle.ambient, [
         ([sum(a * c for a, c in zip(row, p.coords)) for row in matrix], m)
         for p, m in cycle.points])
+
+
+def _probed_mass(cycle, subspace):
+    return sum(m for p, m in cycle.points if subspace.contains(p))
+
+
+def _probed_status(cycle):
+    """Verdict from probing every support point against every proper flat
+    spanned by support points."""
+    n = cycle.ambient.n
+    threshold = Fraction(cycle.total_mass(), n + 1)
+    ratios = set()
+    for size in range(1, n + 1):
+        for pts in itertools.combinations(cycle.support(), size):
+            v = Subspace(pts)
+            ratios.add(Fraction(_probed_mass(cycle, v), v.dim + 1))
+    if max(ratios) > threshold:
+        return "unstable"
+    return "strictly_semistable" if threshold in ratios else "stable"
+
+
+@st.composite
+def _crowded_flat_cycles(draw):
+    """P^n cycles, n in 1..4, from n+1 or n+2 points of mass 1.
+
+    Small coordinates make collinear and coplanar support points common,
+    and with so few points the decisive flat often holds more support
+    points than a minimal spanning set.
+    """
+    n = draw(st.integers(1, 4))
+    coords = st.lists(_SMALL_COORD, min_size=n + 1, max_size=n + 1).filter(any)
+    points = draw(st.lists(st.tuples(coords, st.just(1)),
+                           min_size=n + 1, max_size=n + 2))
+    return normalize_cycle(Ambient.projective(n), points)
+
+
+class TestFlatMasses:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_crowded_flat_cycles())
+    def test_masses_match_membership_probe(self, cycle):
+        verdict = classify(cycle)
+        records = verdict.witness_ratios
+        if verdict.is_unstable:
+            records += (verdict.certificate,)
+        for rec in records:
+            assert rec.mass_on_v == _probed_mass(cycle, rec.subspace)
+        assert verdict.status == _probed_status(cycle)
 
 
 class TestInvariance:
