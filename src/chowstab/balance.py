@@ -117,10 +117,14 @@ def total_moment(cycle: BalanceCycle,
     return acc
 
 
+def _residual(moment: np.ndarray) -> float:
+    return float(np.linalg.norm(moment, "fro"))
+
+
 def balance_residual(cycle: BalanceCycle,
                      points: Optional[Sequence[np.ndarray]] = None) -> float:
     """Frobenius norm of the mass-weighted moment sum; zero iff balanced."""
-    return float(np.linalg.norm(total_moment(cycle, points), "fro"))
+    return _residual(total_moment(cycle, points))
 
 
 def _expm_hermitian(h: np.ndarray) -> np.ndarray:
@@ -165,7 +169,7 @@ def balance_flow(cycle: BalanceCycle, step: float = 0.5,
     g = np.eye(dim, dtype=complex)
     cur = base
     m = total_moment(cycle, cur)
-    residual = float(np.linalg.norm(m, "fro"))
+    residual = _residual(m)
     if residual < tol:
         return FlowReport("converged", residual, float(np.linalg.norm(g)),
                           0, g, cur, step)
@@ -180,7 +184,7 @@ def balance_flow(cycle: BalanceCycle, step: float = 0.5,
             cand = tuple(v / np.linalg.norm(v)
                          for v in (cand_g @ p for p in base))
             cand_m = total_moment(cycle, cand)
-            r = float(np.linalg.norm(cand_m, "fro"))
+            r = _residual(cand_m)
             if r <= residual + slack * max(residual, 1.0):
                 improved = True
                 break

@@ -293,9 +293,7 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
         status = STRICTLY_SEMISTABLE if boundary else STABLE
         return StabilityVerdict(status, None, tuple(boundary))
     dest = destabilizer_from_subspace(cycle, best.subspace)
-    cert = InstabilityCertificate(best.subspace, best.mass_on_v,
-                                  best.total_mass, best.ratio,
-                                  best.threshold, dest)
+    cert = InstabilityCertificate(**vars(best), destabilizer=dest)
     return StabilityVerdict(UNSTABLE, cert, tuple(boundary))
 
 
