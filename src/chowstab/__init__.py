@@ -23,7 +23,7 @@ from .stability import (STABLE, STRICTLY_SEMISTABLE, UNSTABLE, Destabilizer,
                         InstabilityCertificate, RatioRecord, SearchResult,
                         StabilityVerdict, Subspace, chow_weight, classify,
                         destabilizer_from_subspace, exhaustive_ops_search,
-                        find_unstable_subspace, mumford_weight)
+                        mumford_weight)
 from .testconfig import (CentralFibre, CentralFibreData, DFResult,
                          DegreeReport, ExpansionReport, TestConfigSpec,
                          central_fibre_cycle, central_fibre_sections,
@@ -47,8 +47,7 @@ __all__ = [
     "STABLE", "STRICTLY_SEMISTABLE", "UNSTABLE", "Destabilizer",
     "InstabilityCertificate", "RatioRecord", "SearchResult",
     "StabilityVerdict", "Subspace", "chow_weight", "classify",
-    "destabilizer_from_subspace", "exhaustive_ops_search",
-    "find_unstable_subspace", "mumford_weight",
+    "destabilizer_from_subspace", "exhaustive_ops_search", "mumford_weight",
     "CentralFibre", "CentralFibreData", "DFResult", "DegreeReport",
     "ExpansionReport", "TestConfigSpec",
     "central_fibre_cycle", "central_fibre_sections", "df_invariant",

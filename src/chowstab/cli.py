@@ -53,8 +53,18 @@ def _rational(x, field: str) -> Fraction:
 
 
 def _coordinate(x, field: str):
-    """A balance coordinate: a JSON float stays numeric, else a rational."""
-    return x if isinstance(x, float) else _rational(x, field)
+    """A balance coordinate: a JSON float stays numeric, else a rational.
+
+    The flow runs in double precision, so a rational must fit in a float.
+    """
+    if isinstance(x, float):
+        return x
+    q = _rational(x, field)
+    try:
+        float(q)
+    except OverflowError:
+        raise SchemaError("too large for double precision", field) from None
+    return q
 
 
 def _integer(x, field: str) -> int:
@@ -200,7 +210,12 @@ def _parse_balance_input(doc: dict) -> tuple[BalanceCycle, Optional[WeightedCycl
             else:
                 all_rational = False
         coords_list.append(numeric)
-        masses.append(float(mult) ** (n - 1))
+        try:
+            mass = float(mult) ** (n - 1)
+        except OverflowError:
+            raise SchemaError("Chow mass too large for double precision",
+                              f"{where}.mult") from None
+        masses.append(mass)
         if len(exact_row) == n + 1:
             exact_pairs.append((exact_row, mult))
         else:

@@ -221,15 +221,14 @@ def rank_kernel(rows: Sequence[Sequence], ncols: int
 
 
 def _solve(a_rows: Sequence[Sequence[Fraction]],
-           bs: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Solve the square system A x = b for every b in bs in one elimination."""
+           b: Sequence[Fraction]) -> list[Fraction]:
+    """Solve the square system A x = b; ValueError when A is singular."""
     n = len(a_rows)
-    aug = [list(row) + [_rat(b[i]) for b in bs]
-           for i, row in enumerate(a_rows)]
+    aug = [list(row) + [_rat(b[i])] for i, row in enumerate(a_rows)]
     rank, pivots = _rref(aug)
     if rank < n or any(p >= n for p in pivots):
         raise ValueError("singular system")
-    return [[aug[r][n + k] for r in range(n)] for k in range(len(bs))]
+    return [row[n] for row in aug]
 
 
 def _bareiss_rank_profile(rows: Sequence[Sequence[int]], ncols: int
@@ -679,7 +678,7 @@ def interpolate_poly(samples: Sequence[tuple], degree: int,
     if not verify:
         raise ValueError("at least one verification sample is required")
     rows = [[x ** k for k in range(degree + 1)] for x in xs]
-    coeffs, = _solve(rows, [[_rat(v) for _, v in samples]])
+    coeffs = _solve(rows, [v for _, v in samples])
     for x, v in verify:
         got = poly_eval(coeffs, x)
         if got != _rat(v):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import SubspaceNotSpannedBySupport, VerificationFailed
-from .exactcore import _rref, _solve
+from .exactcore import _rref
 from .geometry import (DiagonalOnePS, ProductPoint, ProjectivePoint,
                        WeightedCycle)
 
@@ -26,7 +26,6 @@ __all__ = [
     "InstabilityCertificate",
     "StabilityVerdict",
     "SearchResult",
-    "find_unstable_subspace",
     "destabilizer_from_subspace",
     "classify",
     "exhaustive_ops_search",
@@ -77,13 +76,6 @@ def chow_weight(cycle: WeightedCycle, alpha: DiagonalOnePS,
 # linear subspaces spanned by support points
 
 
-def _independent(rows: Sequence[Sequence[Fraction]],
-                 v: Sequence[Fraction]) -> bool:
-    """Whether v lies outside the span of the independent rows."""
-    probe = [list(r) for r in rows] + [list(v)]
-    return _rref(probe)[0] == len(probe)
-
-
 class Subspace:
     """A linear subspace of P^n spanned by cycle support points."""
 
@@ -108,7 +100,8 @@ class Subspace:
         return len(self.rref[0]) - 1
 
     def contains(self, p: ProjectivePoint) -> bool:
-        return not _independent(self.rref, p.coords)
+        probe = [list(r) for r in self.rref] + [list(p.coords)]
+        return _rref(probe)[0] < len(probe)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.rref == other.rref
@@ -159,14 +152,6 @@ def _independent_subsets(points: Sequence[ProjectivePoint], max_size: int):
         layer = grown
 
 
-def find_unstable_subspace(cycle: WeightedCycle) -> Optional[RatioRecord]:
-    """Best destabilizing subspace, or None when no ratio is strict.
-
-    This is classify's certificate, with its tie-breaks.
-    """
-    return classify(cycle).certificate
-
-
 @dataclass(frozen=True)
 class Destabilizer:
     """A destabilizing 1-PS in coordinates adapted to a subspace."""
@@ -176,27 +161,30 @@ class Destabilizer:
     chow_weight: Fraction
 
 
-def _complete_basis(rows: Sequence[Sequence[Fraction]],
-                    n: int) -> list[list[Fraction]]:
-    """Extend independent rows to a basis of Q^(n+1) by standard vectors."""
-    basis = [list(r) for r in rows]
-    for i in range(n + 1):
-        if len(basis) == n + 1:
-            break
-        cand = [Fraction(0)] * (n + 1)
-        cand[i] = Fraction(1)
-        if _independent(basis, cand):
-            basis.append(cand)
-    if len(basis) != n + 1:
+def _adapted_frame(vectors: Sequence[Sequence[Fraction]],
+                   points: Sequence[ProjectivePoint], n: int
+                   ) -> tuple[int, tuple[tuple[Fraction, ...], ...],
+                              list[list[Fraction]]]:
+    """Basis of Q^(n+1) adapted to the span of `vectors`, in one elimination.
+
+    The basis is the first independent vectors in order, completed by the
+    first standard vectors e_0, e_1, ... outside their span.  One RREF of
+    the columns [vectors | e_0..e_n | points] does it all: its pivot
+    columns are that greedy choice, and each point's reduced column holds
+    its coordinates in the basis.  Returns the number of independent
+    vectors, the basis rows and the coordinates of every point.
+    """
+    m = len(vectors)
+    std = [tuple(Fraction(int(i == j)) for j in range(n + 1))
+           for i in range(n + 1)]
+    cols = list(vectors) + std + [p.coords for p in points]
+    rows = [list(r) for r in zip(*cols)]
+    rank, pivots = _rref(rows)
+    if rank != n + 1:
         raise VerificationFailed("standard vectors did not complete a basis")
-    return basis
-
-
-def _adapted_coords(basis: Sequence[Sequence[Fraction]],
-                    points: Sequence[ProjectivePoint]) -> list[list[Fraction]]:
-    """Coordinates of each point in the given row basis."""
-    cols = [list(col) for col in zip(*basis)]
-    return _solve(cols, [p.coords for p in points])
+    basis = tuple(tuple(cols[c]) for c in pivots)
+    coords = [[row[c] for row in rows] for c in range(m + n + 1, len(cols))]
+    return sum(c < m for c in pivots), basis, coords
 
 
 def destabilizer_from_subspace(cycle: WeightedCycle,
@@ -215,20 +203,15 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
     k = subspace.dim
     if k > n - 1:
         raise ValueError("subspace must be proper")
-    # reduce the spanning points to an independent set, in order
-    rows: list[list[Fraction]] = []
-    for p in subspace.spanning_points:
-        if _independent(rows, p.coords):
-            rows.append(list(p.coords))
-    if len(rows) != k + 1:
+    independent, basis, adapted = _adapted_frame(
+        [p.coords for p in subspace.spanning_points], cycle.support(), n)
+    if independent != k + 1:
         raise VerificationFailed(
-            f"{len(rows)} independent spanning points for dimension {k}")
-    basis = _complete_basis(rows, n)
+            f"{independent} independent spanning points for dimension {k}")
     weights = tuple([n - k] * (k + 1) + [-(k + 1)] * (n - k))
     ops = DiagonalOnePS(weights)
     total = Fraction(0)
     mass_on_v = 0
-    adapted = _adapted_coords(basis, cycle.support())
     for (_, m), coords in zip(cycle.points, adapted):
         total += m * mumford_weight(ProjectivePoint(coords), ops)
         # p lies in V exactly when it needs no completing basis vector
@@ -240,7 +223,7 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
         raise VerificationFailed(
             f"adapted weight {total} differs from the closed form "
             f"{closed_form}")
-    return Destabilizer(ops, tuple(tuple(r) for r in basis), total)
+    return Destabilizer(ops, basis, total)
 
 
 @dataclass(frozen=True)
@@ -324,22 +307,20 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     n = cycle.ambient.n
     support = cycle.support()
     masses = [m for _, m in cycle.points]
-    std = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n + 1))
-                for i in range(n + 1))
-    bases: list[tuple[tuple[int, ...], tuple]] = [((), std)]
-    seen = {std}
-    for idx, _ in _independent_subsets(support, n + 1):
-        basis = _complete_basis([support[i].coords for i in idx], n)
-        key = tuple(tuple(r) for r in basis)
-        if key not in seen:
-            seen.add(key)
-            bases.append((idx, key))
+    # each distinct basis keeps its first spanning index set, the standard
+    # frame (no support points) first
+    frames: dict = {}
+    subsets = [()] + [idx for idx, _ in _independent_subsets(support, n + 1)]
+    for idx in subsets:
+        _, basis, coords = _adapted_frame(
+            [support[i].coords for i in idx], support, n)
+        frames.setdefault(basis, (idx, coords))
 
     best_score = None
     best = None
-    for order, (idx, basis) in enumerate(bases):
+    for order, (basis, (idx, adapted)) in enumerate(frames.items()):
         masks = [tuple(i for i, c in enumerate(coords) if c != 0)
-                 for coords in _adapted_coords(basis, support)]
+                 for coords in adapted]
         for wvec in itertools.product(range(-bound, bound + 1), repeat=n + 1):
             s = sum(wvec)
             score = 0

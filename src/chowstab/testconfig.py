@@ -410,7 +410,7 @@ def expansion_comparison(cycle: WeightedCycle, alpha: DiagonalOnePS,
            for i in range(3)]
     atf = [sum(row[i] * f for row, f in zip(powers, f_values))
            for i in range(3)]
-    coeffs, = _solve(ata, [atf])
+    coeffs = _solve(ata, atf)
     residuals = tuple(f - poly_eval(coeffs, g)
                       for g, f in zip(gs, f_values))
     predicted_slope = -ch / (2 * math.factorial(n - 2))

@@ -34,6 +34,18 @@ COLLIDING_DOC = {
                {"coords": [1, 0, 1]}],
     "weights": [0, 1, 1],
 }
+# a heavy coordinate point and a lone [1:1:0]: the adapted frames complete
+# by standard vectors, so the completion order shows in the output
+HEAVY_CORNER_DOC = {
+    "ambient": {"projective": 2},
+    "points": [{"coords": [1, 0, 0], "mult": 3}, {"coords": [1, 1, 0]},
+               {"coords": [0, 0, 1]}, {"coords": [0, 1, 1]}],
+}
+HEAVY_P3_DOC = {
+    "ambient": {"projective": 3},
+    "points": [{"coords": [1, 1, 0, 0], "mult": 3}, {"coords": [1, 0, 1, 0]},
+               {"coords": [0, 1, 1, 1]}],
+}
 PRODUCT_DOC = {
     "ambient": {"product": [1, 1]},
     "points": [{"coords": [1, 0, 1, 0]}, {"coords": [0, 1, 1, 1], "mult": 2}],
@@ -159,6 +171,36 @@ class TestDestabilizeCommand:
         assert payload["best_weight"] == "0"
 
 
+class TestAdaptedFrameGoldens:
+    """Adapted bases complete by e_0, e_1, ... in that order."""
+
+    def test_check_adapted_basis(self, tmp_path, capsys):
+        _, payload, _ = run_json(tmp_path, capsys, HEAVY_CORNER_DOC, ["check"])
+        assert payload["certificate"]["destabilizer"]["adapted_basis"] == [
+            ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        _, payload, _ = run_json(tmp_path, capsys, HEAVY_P3_DOC, ["check"])
+        assert payload["certificate"]["destabilizer"]["adapted_basis"] == [
+            ["1", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "1", "0"],
+            ["0", "0", "0", "1"]]
+
+    def test_destabilize_frame(self, tmp_path, capsys):
+        _, payload, _ = run_json(tmp_path, capsys, HEAVY_CORNER_DOC,
+                                 ["destabilize", "--bound", "2"])
+        assert payload["best_weight"] == "4"
+        assert payload["weights"] == [-2, -2, 2]
+        assert payload["basis"] == [["0", "0", "1"], ["0", "1", "1"],
+                                    ["1", "0", "0"]]
+        assert payload["basis_support_indices"] == [0, 1]
+        _, payload, _ = run_json(tmp_path, capsys, HEAVY_P3_DOC,
+                                 ["destabilize", "--bound", "2"])
+        assert payload["best_weight"] == "7"
+        assert payload["weights"] == [-2, -2, 2, -2]
+        assert payload["basis"] == [
+            ["0", "1", "1", "1"], ["1", "0", "1", "0"], ["1", "1", "0", "0"],
+            ["1", "0", "0", "0"]]
+        assert payload["basis_support_indices"] == [0, 1, 2]
+
+
 class TestChowWeightCommand:
     def test_projective(self, tmp_path, capsys):
         code, payload, _ = run_json(tmp_path, capsys, COLLINEAR_DOC,
@@ -269,6 +311,15 @@ class TestBalanceCommand:
             code, payload, err = run_json(tmp_path, capsys, doc, ["balance"])
             assert code == 2 and payload is None
             assert "points[1].coords[0][0]" in err
+
+    def test_coordinate_too_large_for_a_float(self, tmp_path, capsys):
+        for coords, field in (([10 ** 400, 1], "points[0].coords[0]"),
+                              ([[1, "1e400"], 1], "points[0].coords[0][1]")):
+            doc = {"ambient": {"projective": 1},
+                   "points": [{"coords": coords}, {"coords": [0, 1]}]}
+            code, payload, err = run_json(tmp_path, capsys, doc, ["balance"])
+            assert code == 2 and payload is None
+            assert field in err
 
     def test_rational_string_in_pair_reads_like_a_coordinate(self, tmp_path,
                                                              capsys):

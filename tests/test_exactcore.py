@@ -332,7 +332,7 @@ class TestLimitSubspace:
 
 
 class TestSolve:
-    def test_several_right_hand_sides_match_single_solves(self):
+    def test_matches_sympy(self):
         rng = random.Random(5140)
         for n in range(1, 6):
             while True:
@@ -340,19 +340,18 @@ class TestSolve:
                      for _ in range(n)]
                 if _sympy_matrix(a).det() != 0:
                     break
-            bs = [[_rand_fraction(rng, -4, 4, 3) for _ in range(n)]
-                  for _ in range(4)]
-            xs = _solve(a, bs)
-            assert xs == [_solve(a, [b])[0] for b in bs]
-            for x, b in zip(xs, bs):
-                assert (_sympy_matrix(a) * _sympy_matrix([[v] for v in x])
-                        == _sympy_matrix([[v] for v in b]))
+            for _ in range(4):
+                b = [_rand_fraction(rng, -4, 4, 3) for _ in range(n)]
+                x = _solve(a, b)
+                assert (_sympy_matrix([[v] for v in x])
+                        == _sympy_matrix(a).LUsolve(
+                            _sympy_matrix([[v] for v in b])))
 
     def test_singular_matrix_raises(self):
         a = [[F(1), F(2)], [F(2), F(4)]]
-        for bs in ([[F(1), F(2)]], [[F(1), F(0)]], [[F(1), F(2)], [F(0)] * 2]):
+        for b in ([F(1), F(2)], [F(1), F(0)]):
             with pytest.raises(ValueError):
-                _solve(a, bs)
+                _solve(a, b)
 
 
 class TestInterpolatePoly:

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational
 
+from chowstab import stability
 from chowstab import (Ambient, DiagonalOnePS, ProjectivePoint, Subspace,
                       SubspaceNotSpannedBySupport, chow_weight, classify,
                       destabilizer_from_subspace, exhaustive_ops_search,
-                      find_unstable_subspace, mumford_weight, normalize_cycle)
+                      mumford_weight, normalize_cycle)
 from optimized import run_optimized
 
 P1 = Ambient.projective(1)
@@ -194,12 +195,6 @@ class TestClassify:
         assert cert.ratio == 2
         assert cert.subspace.spanning_points == (ProjectivePoint([0, 1, 0]),)
 
-    def test_find_unstable_subspace_matches_certificate(self):
-        rec = find_unstable_subspace(HEAVY)
-        assert rec is not None and rec.is_violating
-        assert rec.subspace == classify(HEAVY).certificate.subspace
-        assert find_unstable_subspace(FOUR_GENERAL) is None
-
 
 def _independent_destabilizer_weight(cycle, dest):
     """Recompute the adapted chow weight with sympy linear solves."""
@@ -312,6 +307,70 @@ class TestSearchOracle:
         cyc = normalize_cycle(amb, [([1, 0, 1, 0], 1)])
         with pytest.raises(ValueError):
             exhaustive_ops_search(cyc, 1)
+
+
+class TestAdaptedFrame:
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        """Count every Fraction RREF the stability layer runs."""
+        calls = []
+        real = stability._rref
+
+        def counting(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(stability, "_rref", counting)
+        return calls
+
+    def test_destabilizer_eliminates_once(self, eliminations):
+        for cycle in (HEAVY, COLLINEAR):
+            sub = classify(cycle).certificate.subspace
+            eliminations.clear()
+            destabilizer_from_subspace(cycle, sub)
+            assert len(eliminations) == 1
+
+    def test_search_eliminates_once_per_subset_and_frame(self, eliminations):
+        # collinear support: no subset spans the plane, so every frame needs
+        # standard vectors to complete it
+        for cycle in (COLLINEAR, HEAVY):
+            n = cycle.ambient.n
+            eliminations.clear()
+            frames = 1 + len(list(stability._independent_subsets(
+                cycle.support(), n + 1)))
+            enumerated = len(eliminations)
+            eliminations.clear()
+            exhaustive_ops_search(cycle, 1)
+            assert len(eliminations) <= enumerated + frames
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_greedy_oracle(self, data):
+        n = data.draw(st.integers(1, 4))
+        entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+        vec = st.lists(entry, min_size=n + 1, max_size=n + 1)
+        vectors = data.draw(st.lists(vec, max_size=n + 2))
+        points = [ProjectivePoint(c) for c in
+                  data.draw(st.lists(vec.filter(any), max_size=4))]
+        independent, basis, coords = stability._adapted_frame(
+            vectors, points, n)
+        # greedy oracle: keep each candidate that raises the rank
+        chosen = []
+
+        def greedy(candidates):
+            for v in candidates:
+                if Matrix(chosen + [v]).rank() == len(chosen) + 1:
+                    chosen.append(v)
+
+        greedy(vectors)
+        assert independent == len(chosen)
+        greedy([[Fraction(int(i == j)) for j in range(n + 1)]
+                for i in range(n + 1)])
+        assert [list(b) for b in basis] == chosen
+        assert len(coords) == len(points)
+        for p, c in zip(points, coords):
+            assert [sum(ci * b[j] for ci, b in zip(c, basis))
+                    for j in range(n + 1)] == list(p.coords)
 
 
 _SMALL_COORD = st.integers(-2, 2)
