@@ -96,9 +96,18 @@ class BalanceCycle:
         return cls(pts, masses)
 
 
-def moment_map(p) -> np.ndarray:
-    """Fubini-Study moment map p p*/|p|^2 - I/(n+1), Hermitian traceless."""
-    v = p if isinstance(p, np.ndarray) else _as_complex_point(p)
+def _scaled(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that brings its largest real or imaginary
+    part into [1, 2), or as close as a float factor allows.
+
+    The scaling is exact, so v/|v| and v v*/|v|^2 keep their bits, while
+    |v|^2 can no longer overflow or underflow.
+    """
+    top = max(abs(x) for z in v.tolist() for x in (z.real, z.imag))
+    return v * math.ldexp(1.0, min(1 - math.frexp(top)[1], 1023))
+
+
+def _moment(v: np.ndarray) -> np.ndarray:
     norm2 = float(np.vdot(v, v).real)
     if norm2 == 0.0:
         raise ZeroPoint("zero vector is not a projective point")
@@ -106,14 +115,24 @@ def moment_map(p) -> np.ndarray:
     return np.outer(v, v.conj()) / norm2 - np.eye(dim) / dim
 
 
+def moment_map(p) -> np.ndarray:
+    """Fubini-Study moment map p p*/|p|^2 - I/(n+1), Hermitian traceless."""
+    return _moment(_scaled(p if isinstance(p, np.ndarray)
+                           else _as_complex_point(p)))
+
+
 def total_moment(cycle: BalanceCycle,
                  points: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
-    """Mass-weighted moment sum, optionally at substituted point positions."""
-    pts = cycle.points if points is None else points
-    dim = len(pts[0])
+    """Mass-weighted moment sum, optionally at substituted point positions.
+
+    The cycle's own points are scaled as in moment_map; substituted points
+    (the flow's unit vectors) are taken as given, to save the flow time.
+    """
+    pts = map(_scaled, cycle.points) if points is None else points
+    dim = cycle.n + 1
     acc = np.zeros((dim, dim), dtype=complex)
     for p, m in zip(pts, cycle.masses):
-        acc += m * moment_map(p)
+        acc += m * _moment(p)
     return acc
 
 
@@ -164,7 +183,7 @@ def balance_flow(cycle: BalanceCycle, step: float = 0.5,
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    base = tuple(p / np.linalg.norm(p) for p in cycle.points)
+    base = tuple(v / np.linalg.norm(v) for v in map(_scaled, cycle.points))
     dim = len(base[0])
     g = np.eye(dim, dtype=complex)
     cur = base

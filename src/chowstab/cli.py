@@ -3,7 +3,7 @@
 One self-describing JSON document in, one text or JSON report out.
 Exit codes: 0 completed (stable/semistable verdict or successful
 computation), 1 unstable verdict from `check` (certificate emitted),
-2 input error, 3 internal verification failure.
+2 input error, 3 any other ChowstabError (internal verification failure).
 """
 
 from __future__ import annotations
@@ -16,18 +16,13 @@ from typing import Optional
 
 from .balance import BalanceCycle, balance_flow, check_no_common_zero, \
     check_spanning
-from .errors import (ChowstabError, DependentFamily, NonRationalCoordinate,
-                     PolynomialityFailed, RankDrop, SchemaError,
-                     SubspaceNotSpannedBySupport, VerificationFailed,
-                     ZeroLeadingCoefficient, ZeroPoint)
+from .errors import (ChowstabError, NonRationalCoordinate, SchemaError,
+                     ZeroPoint)
 from .geometry import Ambient, DiagonalOnePS, WeightedCycle, normalize_cycle
 from .stability import classify, chow_weight, exhaustive_ops_search
 from .testconfig import (TestConfigSpec, central_fibre_cycle, df_invariant,
                          expansion_comparison)
 
-_INTERNAL_ERRORS = (VerificationFailed, DependentFamily, RankDrop,
-                    PolynomialityFailed, SubspaceNotSpannedBySupport,
-                    ZeroLeadingCoefficient)
 _INPUT_ERRORS = (SchemaError, NonRationalCoordinate, ZeroPoint, ValueError)
 
 
@@ -557,12 +552,12 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         code, payload = handler(doc, args)
-    except _INTERNAL_ERRORS as exc:
-        sys.stderr.write(f"error: verification failure: {exc}\n")
-        return 3
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except ChowstabError as exc:
+        sys.stderr.write(f"error: verification failure: {exc}\n")
+        return 3
     _print_report(payload, args.format)
     return code
 

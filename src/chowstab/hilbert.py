@@ -117,13 +117,6 @@ class FatPointSpec:
                    for _, a in self.cycle.points)
 
 
-def _falling(e: int, b: int) -> int:
-    out = 1
-    for i in range(b):
-        out *= e - i
-    return out
-
-
 def _point_int_data(p: ProjectivePoint) -> tuple[int, list[int], int]:
     """Pivot index, integer numerators of affine coords, common denominator."""
     piv = p.pivot_index
@@ -139,41 +132,33 @@ def _int_jet_rows(p: ProjectivePoint, order: int,
 
     Row for the functional d^beta/du^beta (|beta| < order), evaluated on
     the dehomogenization of each monomial in the chart where the pivot
-    coordinate of p is set to 1.
+    coordinate of p is set to 1.  With u_j = num_j / den, the entry for
+    x^e is den**(e_piv + |beta|) * prod_j T_j[e_j][beta_j], where
+    T_j[e][b] = e (e-1) ... (e-b+1) * num_j**(e-b), and 0 for b > e.
     """
     piv, nums, den = _point_int_data(p)
     d = basis.degree
-    n = basis.n
-    # power tables
-    num_pow = [[1] * (d + 1) for _ in nums]
-    for j, v in enumerate(nums):
-        for k in range(1, d + 1):
-            num_pow[j][k] = num_pow[j][k - 1] * v
-    den_pow = [1] * (d + 1)
-    for k in range(1, d + 1):
-        den_pow[k] = den_pow[k - 1] * den
-    affine_of = [j if j < piv else j - 1 for j in range(n + 1)]
+    tables = []
+    for v in nums:
+        # T[e][0] = v**e and T[e][b] = e * T[e-1][b-1]
+        t = [[1] + [0] * (order - 1)]
+        for e in range(1, d + 1):
+            t.append([t[-1][0] * v] + [e * x for x in t[-1][:-1]])
+        tables.append(t)
+    den_pow = [den ** k for k in range(d + 1)]
+    cols = [(e[piv], [t[ej] for t, ej in zip(tables, e[:piv] + e[piv + 1:])])
+            for e in basis.exponents]
     rows = []
     for o in range(order):
-        for beta in _exponents(n, o):
+        for beta in _exponents(basis.n, o):
             row = []
-            for e in basis.exponents:
-                coeff = 1
-                deg_aff = 0
-                for j in range(n + 1):
-                    if j == piv:
-                        continue
-                    ej = e[j]
-                    bj = beta[affine_of[j]]
-                    if bj > ej:
-                        coeff = 0
+            for e_piv, factors in cols:
+                c = 1
+                for f, b in zip(factors, beta):
+                    c *= f[b]
+                    if not c:
                         break
-                    if bj:
-                        coeff *= _falling(ej, bj)
-                    if ej - bj:
-                        coeff *= num_pow[affine_of[j]][ej - bj]
-                        deg_aff += ej - bj
-                row.append(coeff * den_pow[d - deg_aff] if coeff else 0)
+                row.append(c * den_pow[e_piv + o] if c else 0)
             rows.append(row)
     return rows
 

@@ -8,9 +8,9 @@ import json
 
 import pytest
 
-from chowstab import Ambient, normalize_cycle
+from chowstab import Ambient, cli, normalize_cycle
 from chowstab.cli import emit_cycle, main, parse_input
-from chowstab.errors import NonRationalCoordinate, SchemaError
+from chowstab.errors import ChowstabError, NonRationalCoordinate, SchemaError
 
 COLLINEAR_DOC = {
     "ambient": {"projective": 2},
@@ -321,6 +321,17 @@ class TestBalanceCommand:
             assert code == 2 and payload is None
             assert field in err
 
+    def test_coordinates_whose_squares_leave_float_range(self, tmp_path,
+                                                         capsys):
+        for first in ([10 ** 300, 1], [1e300, 1], [1e-320, 0],
+                      [[1.5e308, 1.5e308], 1]):
+            doc = {"ambient": {"projective": 1},
+                   "points": [{"coords": first}, {"coords": [0, 1]},
+                              {"coords": [1, 1]}]}
+            code, payload, err = run_json(tmp_path, capsys, doc, ["balance"])
+            assert code == 0 and err == ""
+            assert payload["status"] == "converged"
+
     def test_rational_string_in_pair_reads_like_a_coordinate(self, tmp_path,
                                                              capsys):
         plain = {"ambient": {"projective": 1},
@@ -367,6 +378,19 @@ class TestEntryPoint:
         code = main(["check", str(path)])
         assert code == 2
         assert "cannot read input" in capsys.readouterr().err
+
+    def test_unlisted_package_error_exits_three(self, tmp_path, capsys,
+                                                monkeypatch):
+        class NewFailure(ChowstabError):
+            pass
+
+        def handler(doc, args):
+            raise NewFailure("identity broke")
+
+        monkeypatch.setitem(cli._HANDLERS, "check", handler)
+        code = main(["check", write_doc(tmp_path, STABLE_DOC)])
+        assert code == 3
+        assert "verification failure: identity broke" in capsys.readouterr().err
 
     def test_float_input_exit_code(self, tmp_path, capsys):
         doc = {"ambient": {"projective": 1},

@@ -42,19 +42,26 @@ def _monomials(nvars, total):
     return out
 
 
-def _sympy_h0(cycle, degree, r=1):
-    """Section count oracle: jets via sympy.diff, rank via sympy."""
+def _sympy_jet_rows(cycle, degree, r=1):
+    """Jet matrix oracle: jets via sympy.diff on the dehomogenized monomials.
+
+    Rows run over points, then orders, then descending-lex betas; columns
+    over descending-lex monomials.  Each point's rows are scaled by den**d,
+    den the common denominator of its affine coordinates.
+    """
     n = cycle.ambient.n
     xs = symbols(f"x0:{n + 1}")
-    monos = _monomials(n + 1, degree)
+    monos = sorted(_monomials(n + 1, degree), reverse=True)
     rows = []
     for p, a in cycle.points:
         piv = p.pivot_index
         subs_pivot = {xs[piv]: 1}
         free = [xs[j] for j in range(n + 1) if j != piv]
-        at_point = {xs[j]: Rational(p.coords[j].numerator,
-                                    p.coords[j].denominator)
+        affine = [p.coords[j] / p.coords[piv] for j in range(n + 1)]
+        at_point = {xs[j]: Rational(affine[j].numerator,
+                                    affine[j].denominator)
                     for j in range(n + 1) if j != piv}
+        scale = math.lcm(*(u.denominator for u in affine)) ** degree
         exprs = []
         for e in monos:
             expr = 1
@@ -62,18 +69,16 @@ def _sympy_h0(cycle, degree, r=1):
                 expr *= xj ** ej
             exprs.append(expr.subs(subs_pivot))
         for order in range(r * a):
-            for beta in _monomials(n, order):
+            for beta in sorted(_monomials(n, order), reverse=True):
                 row = []
                 for expr in exprs:
                     d = expr
                     for xj, bj in zip(free, beta):
                         if bj:
                             d = diff(d, xj, bj)
-                    row.append(d.subs(at_point))
+                    row.append(d.subs(at_point) * scale)
                 rows.append(row)
-    if not rows:
-        return len(monos)
-    return len(monos) - Matrix(rows).rank()
+    return rows
 
 
 class TestMonomialBasis:
@@ -147,22 +152,37 @@ class TestH0WithVanishing:
         assert h0_with_vanishing(FatPointSpec(cyc, 3)) == 10
 
     def test_matches_sympy_jets(self):
+        # every entry, not only the rank; the draw must reach P^3, zero
+        # coordinates, denominators and orders above d+1 (all-zero rows)
         rng = random.Random(2401)
-        for _ in range(8):
-            n = rng.randint(1, 2)
+        seen = set()
+        for _ in range(16):
+            n = rng.randint(1, 3)
             pts = []
             for _ in range(rng.randint(1, 2)):
                 while True:
-                    c = [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                    c = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                          for _ in range(n + 1)]
                     if any(c):
                         break
-                pts.append((c, rng.randint(1, 2)))
+                pts.append((c, rng.randint(1, 3)))
             cyc = normalize_cycle(Ambient.projective(n), pts)
-            d = rng.randint(1, 3 if n == 2 else 4)
+            d = rng.randint(0, 5 - n)
             r = rng.randint(1, 2)
             spec = FatPointSpec(cyc, d, r=r)
-            assert h0_with_vanishing(spec) == _sympy_h0(cyc, d, r=r)
+            rows = _sympy_jet_rows(cyc, d, r=r)
+            assert jet_vanishing_matrix(spec) == rows
+            rank = Matrix(rows).rank() if rows else 0
+            assert h0_with_vanishing(spec) == math.comb(n + d, n) - rank
+            seen.add(n)
+            for p, a in cyc.points:
+                if 0 in p.coords:
+                    seen.add("zero")
+                if any(c.denominator > 1 for c in p.coords):
+                    seen.add("den")
+                if r * a > d + 1:
+                    seen.add("high")
+        assert seen == {1, 2, 3, "zero", "den", "high"}
 
     def test_r_scales_orders(self):
         cyc = normalize_cycle(P2, [([1, 0, 0], 1)])
