@@ -13,6 +13,7 @@ coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -107,12 +108,19 @@ def _scaled(v: np.ndarray) -> np.ndarray:
     return v * math.ldexp(1.0, min(1 - math.frexp(top)[1], 1023))
 
 
+@functools.cache
+def _scalar_part(dim: int) -> np.ndarray:
+    """I/dim, built once per dimension and shared read-only."""
+    part = np.eye(dim) / dim
+    part.setflags(write=False)
+    return part
+
+
 def _moment(v: np.ndarray) -> np.ndarray:
     norm2 = float(np.vdot(v, v).real)
     if norm2 == 0.0:
         raise ZeroPoint("zero vector is not a projective point")
-    dim = len(v)
-    return np.outer(v, v.conj()) / norm2 - np.eye(dim) / dim
+    return np.outer(v, v.conj()) / norm2 - _scalar_part(len(v))
 
 
 def moment_map(p) -> np.ndarray:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import SubspaceNotSpannedBySupport, VerificationFailed
 from .exactcore import _rref
 from .geometry import (DiagonalOnePS, ProductPoint, ProjectivePoint,
@@ -283,6 +285,8 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
 # ---------------------------------------------------------------------------
 # brute-force oracle over bounded integer weights
 
+_SEARCH_BLOCK = 1024  # weight vectors scored per matmul; bounds the memory
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -299,6 +303,13 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     of support points (completed by standard vectors), plus the standard
     basis itself.  Ties keep the lexicographically smallest weight vector,
     then the earliest basis.  This is the reference oracle for classify.
+
+    Scoring goes by support mask: a point's weight under w is
+    (n+1) min(w_i, i in its mask) - sum(w), so a frame is its mass per
+    mask and its scores are a product with a table of mask weights, built
+    per block of weight vectors.  The table and the product are int64
+    when no score can reach 2^62 and exact Python ints otherwise, so the
+    maximum and its tie-break are exact.
     """
     if not cycle.ambient.is_projective:
         raise ValueError("search needs a projective ambient")
@@ -316,19 +327,32 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
             [support[i].coords for i in idx], support, n)
         frames.setdefault(basis, (idx, coords))
 
-    best_score = None
+    mask_of = [[sum(1 << i for i, c in enumerate(coords) if c != 0)
+                for coords in adapted] for _, adapted in frames.values()]
+    columns = {mask: j for j, mask in
+               enumerate(sorted({k for row in mask_of for k in row}))}
+    # |T| <= 2(n+1)B, so under this bound every score fits in int64; integer
+    # matmul wraps silently, so larger masses go to exact Python ints
+    fits = sum(masses) * 2 * (n + 1) * max(bound, 1) < 2 ** 62
+    dtype = np.int64 if fits else object
+    H = np.zeros((len(frames), len(columns)), dtype=dtype)
+    for f, row in enumerate(mask_of):
+        for mask, m in zip(row, masses):
+            H[f, columns[mask]] += m
+    bits = [[i for i in range(n + 1) if mask >> i & 1] for mask in columns]
+
     best = None
-    for order, (basis, (idx, adapted)) in enumerate(frames.items()):
-        masks = [tuple(i for i, c in enumerate(coords) if c != 0)
-                 for coords in adapted]
-        for wvec in itertools.product(range(-bound, bound + 1), repeat=n + 1):
-            s = sum(wvec)
-            score = 0
-            for mask, m in zip(masks, masses):
-                score += m * ((n + 1) * min(wvec[i] for i in mask) - s)
-            key = (-score, wvec, order)
-            if best_score is None or key < best_score:
-                best_score = key
-                best = (score, wvec, idx, basis)
-    score, wvec, idx, basis = best  # loop always runs: bound >= 0
+    wvecs = itertools.product(range(-bound, bound + 1), repeat=n + 1)
+    while block := list(itertools.islice(wvecs, _SEARCH_BLOCK)):
+        W = np.array(block, dtype=np.int64)
+        T = np.array([(n + 1) * W[:, b].min(axis=1) for b in bits])
+        T -= W.sum(axis=1)
+        scores = H @ T.astype(dtype, copy=False)
+        # the first maximum in (wvec, frame order) wins; product order is
+        # lexicographic in wvec, so read the scores wvec-major
+        w, f = divmod(int(np.argmax(scores.T.ravel())), len(frames))
+        if best is None or scores[f, w] > best[0]:
+            best = (int(scores[f, w]), block[w], f)
+    score, wvec, f = best  # the product is never empty: bound >= 0
+    basis, (idx, _) = list(frames.items())[f]
     return SearchResult(Fraction(score, n + 1), wvec, basis, idx)

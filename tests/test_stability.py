@@ -19,6 +19,7 @@ from chowstab import (Ambient, DiagonalOnePS, ProjectivePoint, Subspace,
                       destabilizer_from_subspace, exhaustive_ops_search,
                       mumford_weight, normalize_cycle)
 from optimized import run_optimized
+from search_reference import reference_search
 
 P1 = Ambient.projective(1)
 P2 = Ambient.projective(2)
@@ -277,6 +278,28 @@ class TestDestabilizer:
         assert run_optimized(script) == "raised"
 
 
+# few distinct entries, many of them zero: support masks repeat across
+# points and frames, and scores tie often
+_SEARCH_COORD = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+# masses from 2^62 on overflow int64 scores, so the exact path runs
+_HEAVY_MASS = st.one_of(st.integers(1, 3), st.integers(2 ** 62, 2 ** 66))
+
+
+@st.composite
+def _search_cycles(draw):
+    """P^n cycles, n in 1..4, with rational coordinates; up to n+2 points
+    on P^1 and P^2, and up to n+1 on P^3 and P^4 to bound the loop's time.
+    About half of them may carry masses of 2^62 and more."""
+    n = draw(st.integers(1, 4))
+    coords = st.lists(_SEARCH_COORD, min_size=n + 1,
+                      max_size=n + 1).filter(any)
+    mass = _HEAVY_MASS if draw(st.booleans()) else st.integers(1, 3)
+    points = draw(st.lists(st.tuples(coords, mass), min_size=1,
+                           max_size=n + 2 if n < 3 else n + 1))
+    return normalize_cycle(Ambient.projective(n), points)
+
+
 class TestSearchOracle:
     def test_semistable_and_stable_peak_at_zero(self):
         assert exhaustive_ops_search(TRIANGLE, 2).weight == 0
@@ -307,6 +330,25 @@ class TestSearchOracle:
         cyc = normalize_cycle(amb, [([1, 0, 1, 0], 1)])
         with pytest.raises(ValueError):
             exhaustive_ops_search(cyc, 1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_reference_loop(self, data):
+        cycle = data.draw(_search_cycles())
+        n = cycle.ambient.n
+        bound = data.draw(st.integers(0, 2 if n == 4 else 3))
+        res = exhaustive_ops_search(cycle, bound)
+        assert res == reference_search(cycle, bound)
+        assert all(type(w) is int for w in res.weights)
+
+    def test_matches_reference_loop_across_blocks(self, monkeypatch):
+        # ties between blocks keep the earlier block's weight vector
+        monkeypatch.setattr(stability, "_SEARCH_BLOCK", 5)
+        rng = random.Random(1307)
+        cycles = [COLLINEAR, HEAVY, TRIANGLE, FOUR_GENERAL] + [
+            _random_cycle(rng, n, n + 2) for n in (1, 2, 3) for _ in range(3)]
+        for cycle in cycles:
+            assert exhaustive_ops_search(cycle, 2) == reference_search(cycle, 2)
 
 
 class TestAdaptedFrame:
