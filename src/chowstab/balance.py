@@ -191,6 +191,8 @@ def balance_flow(cycle: BalanceCycle, step: float = 0.5,
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     base = tuple(v / np.linalg.norm(v) for v in map(_scaled, cycle.points))
     dim = len(base[0])
     g = np.eye(dim, dtype=complex)

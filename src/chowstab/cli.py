@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -50,9 +51,11 @@ def _rational(x, field: str) -> Fraction:
 def _coordinate(x, field: str):
     """A balance coordinate: a JSON float stays numeric, else a rational.
 
-    The flow runs in double precision, so a rational must fit in a float.
+    The flow runs in double precision, so either must be a finite float.
     """
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise SchemaError(f"{x!r} is not a finite number", field)
         return x
     q = _rational(x, field)
     try:
@@ -69,6 +72,8 @@ def _integer(x, field: str) -> int:
 
 
 def parse_ambient(doc: dict) -> Ambient:
+    if not isinstance(doc, dict):
+        raise SchemaError("top-level document must be an object")
     amb = doc.get("ambient")
     if not isinstance(amb, dict):
         raise SchemaError("missing or malformed ambient object", "ambient")
@@ -93,41 +98,45 @@ def parse_ambient(doc: dict) -> Ambient:
                       "ambient")
 
 
-def _expected_coord_count(ambient: Ambient) -> int:
-    if ambient.is_projective:
-        return ambient.n + 1
-    return sum(ambient.dims) + 2
+def _points(doc: dict, width: int):
+    """Yield (field path, coords, mult) for each item of the points array.
 
-
-def parse_input(doc: dict) -> tuple[WeightedCycle, Optional[DiagonalOnePS]]:
-    """Validated cycle and optional 1-PS from a JSON document."""
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level document must be an object")
-    ambient = parse_ambient(doc)
+    Checks the array, each item's list of `width` coordinates and its
+    mult >= 1; reading the coordinates is left to each command.
+    """
     raw_points = doc.get("points")
     if not isinstance(raw_points, list):
         raise SchemaError("missing or malformed points array", "points")
-    want = _expected_coord_count(ambient)
-    pairs = []
     for i, item in enumerate(raw_points):
         where = f"points[{i}]"
         if not isinstance(item, dict) or "coords" not in item:
             raise SchemaError("each point needs a coords array", where)
         coords = item["coords"]
-        if not isinstance(coords, list) or len(coords) != want:
-            raise SchemaError(f"coords must be a list of {want} rationals",
+        if not isinstance(coords, list) or len(coords) != width:
+            raise SchemaError(f"coords must be a list of {width} entries",
                               f"{where}.coords")
-        vals = [_rational(c, f"{where}.coords[{j}]")
-                for j, c in enumerate(coords)]
         mult = _integer(item.get("mult", 1), f"{where}.mult")
-        pairs.append((vals, mult))
-    cycle = normalize_cycle(ambient, pairs)
-    alpha = parse_weights(doc, "weights", ambient)
-    return cycle, alpha
+        if mult < 1:
+            raise SchemaError("mult must be >= 1", f"{where}.mult")
+        yield where, coords, mult
+
+
+def parse_input(doc: dict) -> tuple[WeightedCycle, Optional[DiagonalOnePS]]:
+    """Validated cycle and optional 1-PS from a JSON document."""
+    ambient = parse_ambient(doc)
+    if ambient.is_projective:
+        width = nweights = ambient.n + 1
+    else:
+        width, nweights = sum(ambient.dims) + 2, ambient.dims[0] + 1
+    pairs = [([_rational(c, f"{where}.coords[{j}]")
+               for j, c in enumerate(coords)], mult)
+             for where, coords, mult in _points(doc, width)]
+    return (normalize_cycle(ambient, pairs),
+            parse_weights(doc, "weights", nweights))
 
 
 def parse_weights(doc: dict, key: str,
-                  ambient: Ambient) -> Optional[DiagonalOnePS]:
+                  length: int) -> Optional[DiagonalOnePS]:
     raw = doc.get(key)
     if raw is None:
         return None
@@ -139,12 +148,8 @@ def parse_weights(doc: dict, key: str,
     if not isinstance(raw, list):
         raise SchemaError("weights must be an integer array", key)
     ws = tuple(_integer(w, f"{key}[{i}]") for i, w in enumerate(raw))
-    if ambient.is_projective:
-        want = ambient.n + 1
-    else:
-        want = ambient.dims[0] + 1 if key == "weights" else ambient.dims[1] + 1
-    if len(ws) != want:
-        raise SchemaError(f"weight vector must have length {want}", key)
+    if len(ws) != length:
+        raise SchemaError(f"weight vector must have length {length}", key)
     return DiagonalOnePS(ws)
 
 
@@ -154,72 +159,43 @@ def _require_weights(alpha: Optional[DiagonalOnePS]) -> DiagonalOnePS:
     return alpha
 
 
+def _balance_entry(c, field: str) -> tuple:
+    """(re, im) of one balance coordinate: a number or an [re, im] pair."""
+    if not isinstance(c, list):
+        return _coordinate(c, field), 0
+    if len(c) != 2:
+        raise SchemaError("complex entries are [re, im] pairs", field)
+    return tuple(_coordinate(x, f"{field}[{k}]") for k, x in enumerate(c))
+
+
 def _parse_balance_input(doc: dict) -> tuple[BalanceCycle, Optional[WeightedCycle]]:
     """Balance input: complex [re, im] pairs allowed, Chow masses attached.
 
     Returns the numerical cycle and, when every coordinate is rational,
     the exact cycle too (enables the exact common-zero check).
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level document must be an object")
     ambient = parse_ambient(doc)
     if not ambient.is_projective:
         raise SchemaError("balance needs a projective ambient", "ambient")
     n = ambient.n
-    raw_points = doc.get("points")
-    if not isinstance(raw_points, list) or not raw_points:
-        raise SchemaError("missing or empty points array", "points")
-    coords_list = []
-    masses = []
-    exact_pairs = []
-    all_rational = True
-    for i, item in enumerate(raw_points):
-        where = f"points[{i}]"
-        if not isinstance(item, dict) or "coords" not in item:
-            raise SchemaError("each point needs a coords array", where)
-        coords = item["coords"]
-        if not isinstance(coords, list) or len(coords) != n + 1:
-            raise SchemaError(f"coords must be a list of {n + 1} entries",
-                              f"{where}.coords")
-        mult = _integer(item.get("mult", 1), f"{where}.mult")
-        if mult < 1:
-            raise SchemaError("mult must be >= 1", f"{where}.mult")
-        numeric = []
-        exact_row = []
-        for j, c in enumerate(coords):
-            field = f"{where}.coords[{j}]"
-            if isinstance(c, list):
-                if len(c) != 2:
-                    raise SchemaError("complex entries are [re, im] pairs",
-                                      field)
-                re, im = (_coordinate(x, f"{field}[{k}]")
-                          for k, x in enumerate(c))
-                numeric.append((re, im))
-                exact = im == 0
-            else:
-                re = _coordinate(c, field)
-                numeric.append(re)
-                exact = True
-            if exact and not isinstance(re, float):
-                exact_row.append(re)
-            else:
-                all_rational = False
-        coords_list.append(numeric)
+    coords_list, masses, exact_pairs = [], [], []
+    for where, coords, mult in _points(doc, n + 1):
+        entries = [_balance_entry(c, f"{where}.coords[{j}]")
+                   for j, c in enumerate(coords)]
+        coords_list.append(entries)
         try:
-            mass = float(mult) ** (n - 1)
+            masses.append(float(mult) ** (n - 1))
         except OverflowError:
             raise SchemaError("Chow mass too large for double precision",
                               f"{where}.mult") from None
-        masses.append(mass)
-        if len(exact_row) == n + 1:
-            exact_pairs.append((exact_row, mult))
-        else:
-            all_rational = False
-    numeric_cycle = BalanceCycle.from_raw(coords_list, masses)
+        if all(im == 0 and not isinstance(re, float) for re, im in entries):
+            exact_pairs.append(([re for re, _ in entries], mult))
+    if not coords_list:
+        raise SchemaError("missing or empty points array", "points")
     exact_cycle = None
-    if all_rational:
+    if len(exact_pairs) == len(coords_list):
         exact_cycle = normalize_cycle(ambient, exact_pairs)
-    return numeric_cycle, exact_cycle
+    return BalanceCycle.from_raw(coords_list, masses), exact_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +323,7 @@ def _cmd_chow_weight(doc, args) -> tuple[int, dict]:
     if cycle.ambient.is_projective:
         value = chow_weight(cycle, alpha)
     else:
-        alpha2 = parse_weights(doc, "weights2", cycle.ambient)
+        alpha2 = parse_weights(doc, "weights2", cycle.ambient.dims[1] + 1)
         value = chow_weight(cycle, alpha, alpha2)
     payload = {
         "command": "chow-weight",

@@ -134,12 +134,20 @@ class RatioRecord:
         return self.ratio == self.threshold
 
 
-def _independent_subsets(points: Sequence[ProjectivePoint], max_size: int):
-    """Yield (indices, Subspace) for every independent subset of points.
+def _subspace(points: Sequence[ProjectivePoint]) -> tuple[int, Subspace]:
+    v = Subspace(points)
+    return len(v.rref), v
 
-    Subsets come by size, then in lexicographic index order; each one
-    extends an independent subset that is one point smaller, so a span
-    first shows up with a minimal spanning subset.
+
+def _independent_subsets(points: Sequence[ProjectivePoint], max_size: int,
+                         span=_subspace):
+    """Yield (indices, span(subset)) for every independent subset of points.
+
+    `span` eliminates a candidate subset once and returns a tuple whose
+    first entry is the subset's rank; the subset is independent when that
+    rank is its size.  Subsets come by size, then in lexicographic index
+    order; each one extends an independent subset that is one point
+    smaller, so a span first shows up with a minimal spanning subset.
     """
     layer: list[tuple[int, ...]] = [()]
     for size in range(1, min(len(points), max_size) + 1):
@@ -147,10 +155,10 @@ def _independent_subsets(points: Sequence[ProjectivePoint], max_size: int):
         for idx in layer:
             for j in range(idx[-1] + 1 if idx else 0, len(points)):
                 child = idx + (j,)
-                sub = Subspace([points[i] for i in child])
-                if len(sub.rref) == size:
+                found = span([points[i] for i in child])
+                if found[0] == size:
                     grown.append(child)
-                    yield child, sub
+                    yield child, found
         layer = grown
 
 
@@ -262,7 +270,7 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
     # each support point of a flat lies in one of its spanning subsets; the
     # flat keeps its first Subspace, spanned by a minimal subset
     flats: dict = {}
-    for idx, v in _independent_subsets(cycle.support(), n):
+    for idx, (_, v) in _independent_subsets(cycle.support(), n):
         flats.setdefault(v.rref, (v, set()))[1].update(idx)
     boundary = []
     best = None
@@ -318,13 +326,16 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     n = cycle.ambient.n
     support = cycle.support()
     masses = [m for _, m in cycle.points]
+
+    def frame(points):
+        return _adapted_frame([p.coords for p in points], support, n)
+
     # each distinct basis keeps its first spanning index set, the standard
-    # frame (no support points) first
+    # frame (no support points) first; a frame's independent count decides
+    # whether its subset grows, so each subset costs one elimination
     frames: dict = {}
-    subsets = [()] + [idx for idx, _ in _independent_subsets(support, n + 1)]
-    for idx in subsets:
-        _, basis, coords = _adapted_frame(
-            [support[i].coords for i in idx], support, n)
+    subsets = _independent_subsets(support, n + 1, frame)
+    for idx, (_, basis, coords) in itertools.chain([((), frame([]))], subsets):
         frames.setdefault(basis, (idx, coords))
 
     mask_of = [[sum(1 << i for i, c in enumerate(coords) if c != 0)
@@ -345,7 +356,9 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     wvecs = itertools.product(range(-bound, bound + 1), repeat=n + 1)
     while block := list(itertools.islice(wvecs, _SEARCH_BLOCK)):
         W = np.array(block, dtype=np.int64)
-        T = np.array([(n + 1) * W[:, b].min(axis=1) for b in bits])
+        # shaped explicitly: with no points there are no masks
+        T = np.array([(n + 1) * W[:, b].min(axis=1) for b in bits],
+                     dtype=np.int64).reshape(len(bits), len(block))
         T -= W.sum(axis=1)
         scores = H @ T.astype(dtype, copy=False)
         # the first maximum in (wvec, frame order) wins; product order is

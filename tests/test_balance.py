@@ -182,6 +182,13 @@ class TestBalanceFlow:
         with pytest.raises(ValueError):
             balance_flow(cyc, step=0.0)
 
+    def test_tolerance_validation(self):
+        # the flow stops only on residual < tol, so these would never stop
+        cyc = BalanceCycle.from_raw([[1, 0], [0, 1], [1, 1]], [1, 1, 1])
+        for tol in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                balance_flow(cyc, tol=tol)
+
 
 class TestCheckSpanning:
     def test_four_points_span(self):

@@ -5,6 +5,7 @@ the report back, so exit codes, stdout and stderr are all covered.
 """
 
 import json
+import math
 
 import pytest
 
@@ -169,6 +170,17 @@ class TestDestabilizeCommand:
         assert code == 0
         assert payload["positive"] is False
         assert payload["best_weight"] == "0"
+
+    def test_empty_cycle(self, tmp_path, capsys):
+        doc = {"ambient": {"projective": 2}, "points": []}
+        code, payload, err = run_json(tmp_path, capsys, doc,
+                                      ["destabilize", "--bound", "3"])
+        assert code == 0 and err == ""
+        assert payload["best_weight"] == "0"
+        assert payload["weights"] == [-3, -3, -3]
+        assert payload["basis"] == [["1", "0", "0"], ["0", "1", "0"],
+                                    ["0", "0", "1"]]
+        assert payload["basis_support_indices"] == []
 
 
 class TestAdaptedFrameGoldens:
@@ -357,6 +369,50 @@ class TestBalanceCommand:
                                     ["balance", "--tol", "1e-6"])
         assert code == 0
         assert payload["tolerance"] == 1e-6
+
+    def test_non_finite_coordinates_refused(self, tmp_path, capsys):
+        for bad in (math.nan, math.inf, -math.inf):
+            for coords, field in (([bad, 1], "points[1].coords[0]"),
+                                  ([[1, bad], 1], "points[1].coords[0][1]")):
+                doc = {"ambient": {"projective": 1},
+                       "points": [{"coords": [1, 0]}, {"coords": coords}]}
+                code, payload, err = run_json(tmp_path, capsys, doc,
+                                              ["balance"])
+                assert code == 2 and payload is None
+                assert f"{field}: {bad!r} is not a finite number" in err
+
+    def test_tolerance_that_can_never_be_met(self, tmp_path, capsys):
+        doc = {"ambient": {"projective": 1},
+               "points": [{"coords": [1, 0]}, {"coords": [0, 1]},
+                          {"coords": [1, 1]}]}
+        for tol in ("0", "-1e-9", "nan", "inf"):
+            code, payload, err = run_json(tmp_path, capsys, doc,
+                                          ["balance", f"--tol={tol}"])
+            assert code == 2 and payload is None
+            assert "tol must be finite and positive" in err
+
+
+class TestPointsReader:
+    """Every command reads the points array alike and names the field."""
+
+    @pytest.mark.parametrize("points, field", [
+        ({"coords": [1, 0, 0]}, "points"),
+        ([{"coords": [1, 0, 0]}, {"mult": 2}], "points[1]"),
+        ([{"coords": [1, 0]}], "points[0].coords"),
+        ([{"coords": [1, 0, 0], "mult": "2"}], "points[0].mult"),
+        ([{"coords": [1, 0, 0]}, {"coords": [0, 1, 0], "mult": 0}],
+         "points[1].mult"),
+    ], ids=["not-a-list", "no-coords", "coords-length", "mult-type",
+            "mult-zero"])
+    def test_malformed_points(self, tmp_path, capsys, points, field):
+        doc = {"ambient": {"projective": 2}, "points": points}
+        errors = []
+        for command in ("check", "balance"):
+            code, payload, err = run_json(tmp_path, capsys, doc, [command])
+            assert code == 2 and payload is None
+            assert f"error: {field}: " in err
+            errors.append(err)
+        assert errors[0] == errors[1]
 
 
 class TestEntryPoint:

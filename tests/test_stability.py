@@ -341,6 +341,16 @@ class TestSearchOracle:
         assert res == reference_search(cycle, bound)
         assert all(type(w) is int for w in res.weights)
 
+    def test_empty_cycle_matches_reference_loop(self):
+        # no points means no support masks: every frame scores 0
+        for n in range(1, 5):
+            empty = normalize_cycle(Ambient.projective(n), [])
+            for bound in range(3):
+                res = exhaustive_ops_search(empty, bound)
+                assert res == reference_search(empty, bound)
+                assert res.weight == 0 and res.weights == (-bound,) * (n + 1)
+                assert res.basis_points == ()
+
     def test_matches_reference_loop_across_blocks(self, monkeypatch):
         # ties between blocks keep the earlier block's weight vector
         monkeypatch.setattr(stability, "_SEARCH_BLOCK", 5)
@@ -378,12 +388,11 @@ class TestAdaptedFrame:
         for cycle in (COLLINEAR, HEAVY):
             n = cycle.ambient.n
             eliminations.clear()
-            frames = 1 + len(list(stability._independent_subsets(
-                cycle.support(), n + 1)))
-            enumerated = len(eliminations)
+            list(stability._independent_subsets(cycle.support(), n + 1))
+            candidates = len(eliminations)  # one Subspace per candidate
             eliminations.clear()
             exhaustive_ops_search(cycle, 1)
-            assert len(eliminations) <= enumerated + frames
+            assert len(eliminations) == candidates + 1
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
