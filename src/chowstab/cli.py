@@ -184,7 +184,7 @@ def _parse_balance_input(doc: dict) -> tuple[BalanceCycle, Optional[WeightedCycl
                    for j, c in enumerate(coords)]
         coords_list.append(entries)
         try:
-            masses.append(float(mult) ** (n - 1))
+            masses.append(float(mult ** (n - 1)))
         except OverflowError:
             raise SchemaError("Chow mass too large for double precision",
                               f"{where}.mult") from None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -185,6 +185,53 @@ def _rref(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank, pivots
+
+
+def _int_rref(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """In-place fraction-free reduced row echelon form over Z.
+
+    Gauss-Jordan elimination without division: a row is reduced by
+    pivot * row - entry * pivot_row, then divided by the gcd of its
+    entries.  Every nonzero row ends primitive with a positive pivot, so it
+    is the unique positive multiple of the matching `_rref` row that has
+    content 1: the rank, the pivots and the zero pattern of every column
+    are those of `_rref`, and the rows are canonical for the row space.
+    Returns (rank, pivot columns).
+    """
+    if not rows:
+        return 0, []
+    ncols = len(rows[0])
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        pr = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] != 0:
+                pr = r
+                break
+        if pr is None:
+            continue
+        prow = rows[pr]
+        g = gcd(*prow)
+        if prow[col] < 0:
+            g = -g
+        if g != 1:
+            prow = [x // g for x in prow]
+        rows[pr] = rows[rank]
+        rows[rank] = prow
+        p = prow[col]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != rank and f != 0:
+                # p > 0 keeps the sign of every earlier pivot in row r
+                row = [p * a - f * b for a, b in zip(rows[r], prow)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         rank += 1
         if rank == len(rows):

@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import SubspaceNotSpannedBySupport, VerificationFailed
-from .exactcore import _rref
+from .exactcore import _int_rref, _rref
 from .geometry import (DiagonalOnePS, ProductPoint, ProjectivePoint,
                        WeightedCycle)
 
@@ -139,14 +140,38 @@ def _subspace(points: Sequence[ProjectivePoint]) -> tuple[int, Subspace]:
     return len(v.rref), v
 
 
-def _independent_subsets(points: Sequence[ProjectivePoint], max_size: int,
-                         span=_subspace):
+def _primitive(p: ProjectivePoint) -> list[int]:
+    """p as a primitive integer vector with a positive first nonzero entry.
+
+    Clearing denominators and dividing by the content are projective
+    scalings, so the vector is exact for every span and zero pattern.
+    """
+    den = lcm(*(c.denominator for c in p.coords))
+    v = [c.numerator * (den // c.denominator) for c in p.coords]
+    g = gcd(*v)
+    return [x // g for x in v]
+
+
+def _int_span(vectors: Sequence[Sequence[int]]
+              ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Rank and canonical integer RREF rows of the span of `vectors`.
+
+    The rows name the span exactly as `Subspace.rref` does, and there are
+    rank of them, so spans of different dimensions never share a key.
+    """
+    rows = [list(v) for v in vectors]
+    rank, _ = _int_rref(rows)
+    return rank, tuple(map(tuple, rows[:rank]))
+
+
+def _independent_subsets(points: Sequence, max_size: int, span=_subspace):
     """Yield (indices, span(subset)) for every independent subset of points.
 
     `span` eliminates a candidate subset once and returns a tuple whose
     first entry is the subset's rank; the subset is independent when that
-    rank is its size.  Subsets come by size, then in lexicographic index
-    order; each one extends an independent subset that is one point
+    rank is its size.  The points are what `span` takes: `ProjectivePoint`s
+    for the default, integer vectors for `_int_span` and `_int_frame`.
+    Subsets come by size, then in lexicographic index order; each one extends an independent subset that is one point
     smaller, so a span first shows up with a minimal spanning subset.
     """
     layer: list[tuple[int, ...]] = [()]
@@ -195,6 +220,28 @@ def _adapted_frame(vectors: Sequence[Sequence[Fraction]],
     basis = tuple(tuple(cols[c]) for c in pivots)
     coords = [[row[c] for row in rows] for c in range(m + n + 1, len(cols))]
     return sum(c < m for c in pivots), basis, coords
+
+
+def _int_frame(vectors: Sequence[Sequence[int]],
+               points: Sequence[Sequence[int]], n: int
+               ) -> tuple[int, list[int], list[int]]:
+    """`_adapted_frame` over Z: independent count, pivots, support masks.
+
+    One `_int_rref` of the same columns [vectors | e_0..e_n | points], as
+    integer vectors.  Scaling a column changes neither the pivots nor any
+    zero pattern, so the greedy basis is the same, and bit i of a point's
+    mask is set when its i-th coordinate in that basis is nonzero.
+    """
+    m = len(vectors)
+    std = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    cols = list(vectors) + std + list(points)
+    rows = [list(r) for r in zip(*cols)]
+    rank, pivots = _int_rref(rows)
+    if rank != n + 1:
+        raise VerificationFailed("standard vectors did not complete a basis")
+    masks = [sum(1 << i for i, row in enumerate(rows) if row[c])
+             for c in range(m + n + 1, len(cols))]
+    return sum(c < m for c in pivots), pivots, masks
 
 
 def destabilizer_from_subspace(cycle: WeightedCycle,
@@ -265,28 +312,39 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
     if not cycle.ambient.is_projective:
         raise ValueError("subspace scan needs a projective ambient")
     n = cycle.ambient.n
+    support = cycle.support()
     total = cycle.total_mass()
     threshold = Fraction(total, n + 1)
-    # each support point of a flat lies in one of its spanning subsets; the
-    # flat keeps its first Subspace, spanned by a minimal subset
+
+    def record(idx, mass, rank):
+        v = Subspace([support[i] for i in idx])
+        return RatioRecord(v, mass, total, Fraction(mass, rank), threshold)
+
+    # flats are keyed by their integer RREF rows; each support point of a
+    # flat lies in one of its spanning subsets, and the flat keeps its
+    # first, minimal spanning subset
     flats: dict = {}
-    for idx, (_, v) in _independent_subsets(cycle.support(), n):
-        flats.setdefault(v.rref, (v, set()))[1].update(idx)
+    ints = [_primitive(p) for p in support]
+    for idx, (_, key) in _independent_subsets(ints, n, _int_span):
+        flats.setdefault(key, (idx, set()))[1].update(idx)
     boundary = []
-    best = None
-    # scan order is (dim, spanning idx), so the first maximal ratio wins
-    for v, members in flats.values():
+    best = None  # (idx, mass, rank) of the running maximal violator
+    # scan order is (dim, spanning idx), so the first maximal ratio wins;
+    # mass/rank against total/(n+1) and the best ratio, cross-multiplied
+    for key, (idx, members) in flats.items():
         mass = sum(cycle.points[i][1] for i in members)
-        rec = RatioRecord(v, mass, total, Fraction(mass, v.dim + 1), threshold)
-        if rec.is_boundary:
-            boundary.append(rec)
-        elif rec.is_violating and (best is None or rec.ratio > best.ratio):
-            best = rec
+        rank = len(key)
+        side = (n + 1) * mass - total * rank
+        if side == 0:
+            boundary.append(record(idx, mass, rank))
+        elif side > 0 and (best is None or mass * best[2] > best[1] * rank):
+            best = (idx, mass, rank)
     if best is None:
         status = STRICTLY_SEMISTABLE if boundary else STABLE
         return StabilityVerdict(status, None, tuple(boundary))
-    dest = destabilizer_from_subspace(cycle, best.subspace)
-    cert = InstabilityCertificate(**vars(best), destabilizer=dest)
+    rec = record(*best)
+    dest = destabilizer_from_subspace(cycle, rec.subspace)
+    cert = InstabilityCertificate(**vars(rec), destabilizer=dest)
     return StabilityVerdict(UNSTABLE, cert, tuple(boundary))
 
 
@@ -327,19 +385,26 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     support = cycle.support()
     masses = [m for _, m in cycle.points]
 
-    def frame(points):
-        return _adapted_frame([p.coords for p in points], support, n)
+    ints = [tuple(_primitive(p)) for p in support]
+    units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
+
+    def frame(vectors):
+        return _int_frame(vectors, ints, n)
 
     # each distinct basis keeps its first spanning index set, the standard
     # frame (no support points) first; a frame's independent count decides
-    # whether its subset grows, so each subset costs one elimination
+    # whether its subset grows, so each subset costs one elimination.  A
+    # basis is keyed by its vectors as primitive integer tuples, which are
+    # equal exactly when the canonical Fraction coordinates are.
     frames: dict = {}
-    subsets = _independent_subsets(support, n + 1, frame)
-    for idx, (_, basis, coords) in itertools.chain([((), frame([]))], subsets):
-        frames.setdefault(basis, (idx, coords))
+    subsets = _independent_subsets(ints, n + 1, frame)
+    for idx, (_, pivots, masks) in itertools.chain([((), frame([]))],
+                                                   subsets):
+        m = len(idx)
+        key = tuple(ints[idx[c]] if c < m else units[c - m] for c in pivots)
+        frames.setdefault(key, (idx, pivots, masks))
 
-    mask_of = [[sum(1 << i for i, c in enumerate(coords) if c != 0)
-                for coords in adapted] for _, adapted in frames.values()]
+    mask_of = [masks for _, _, masks in frames.values()]
     columns = {mask: j for j, mask in
                enumerate(sorted({k for row in mask_of for k in row}))}
     # |T| <= 2(n+1)B, so under this bound every score fits in int64; integer
@@ -367,5 +432,8 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
         if best is None or scores[f, w] > best[0]:
             best = (int(scores[f, w]), block[w], f)
     score, wvec, f = best  # the product is never empty: bound >= 0
-    basis, (idx, _) = list(frames.items())[f]
+    idx, pivots, _ = list(frames.values())[f]
+    m = len(idx)
+    basis = tuple(support[idx[c]].coords if c < m
+                  else tuple(map(Fraction, units[c - m])) for c in pivots)
     return SearchResult(Fraction(score, n + 1), wvec, basis, idx)

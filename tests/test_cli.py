@@ -10,6 +10,7 @@ import math
 import pytest
 
 from chowstab import Ambient, cli, normalize_cycle
+from chowstab.balance import BalanceCycle
 from chowstab.cli import emit_cycle, main, parse_input
 from chowstab.errors import ChowstabError, NonRationalCoordinate, SchemaError
 
@@ -361,6 +362,33 @@ class TestBalanceCommand:
         code, payload, _ = run_json(tmp_path, capsys, doc, ["balance"])
         assert code == 0
         assert payload["checks"]["no_common_zero"] is False
+
+    def test_huge_mult_on_the_line_has_unit_mass(self, tmp_path, capsys):
+        # on P^1 every Chow mass a^(n-1) is 1, however large a is
+        doc = {"ambient": {"projective": 1},
+               "points": [{"coords": [1, 0], "mult": 10 ** 400},
+                          {"coords": [0, 1]}, {"coords": [1, 1]}]}
+        unit = {"ambient": {"projective": 1},
+                "points": [{"coords": [1, 0]}, {"coords": [0, 1]},
+                           {"coords": [1, 1]}]}
+        code, payload, err = run_json(tmp_path, capsys, doc, ["balance"])
+        assert code == 0 and err == ""
+        assert payload == run_json(tmp_path, capsys, unit, ["balance"])[1]
+        # check reads the same document: the heavy point is unstable
+        code, payload, _ = run_json(tmp_path, capsys, doc, ["check"])
+        assert code == 1 and payload["status"] == "unstable"
+
+    def test_masses_match_the_weighted_cycle(self):
+        # 3^41 is not a float, and its square rounds differently from the
+        # square of its rounding
+        doc = {"ambient": {"projective": 3},
+               "points": [{"coords": [0, 0, 0, 1], "mult": 3},
+                          {"coords": [0, 0, 1, 0], "mult": 3 ** 41},
+                          {"coords": [0, 1, 0, 0], "mult": 2},
+                          {"coords": [1, 1, 1, 1]}]}
+        parsed, exact = cli._parse_balance_input(doc)
+        assert parsed.masses == BalanceCycle.from_weighted(exact).masses
+        assert parsed.masses[:3] == (9.0, float(3 ** 82), 4.0)
 
     def test_tolerance_flag(self, tmp_path, capsys):
         doc = {"ambient": {"projective": 1},

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from chowstab import exactcore
 from chowstab.errors import DependentFamily, VerificationFailed
 from chowstab.exactcore import (PRIMES, PolyT, _bareiss_rank_profile,
-                                _int_array, _residues, _rref_mod, _solve,
+                                _int_array, _int_rref, _rref, _residues, _rref_mod, _solve,
                                 graded_limit, int_rank_profile,
                                 interpolate_poly, limit_subspace, poly_eval,
                                 rank_kernel)
@@ -100,6 +101,37 @@ class TestRankKernel:
         _, k2 = rank_kernel(rows, 3)
         assert k1 == k2 == [(F(-1), F(1), F(0))]
 
+
+class TestIntRref:
+    def test_hand_case(self):
+        rows = [[0, 2, 4, 6], [0, -3, 0, 3], [0, 1, 2, 3]]
+        assert _int_rref(rows) == (2, [1, 2])
+        assert rows == [[0, 1, 0, -1], [0, 0, 1, 2], [0, 0, 0, 0]]
+        assert _int_rref([]) == (0, [])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_positive_primitive_multiple_of_fraction_rref(self, data):
+        nr, nc = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(0, 5))
+        entry = data.draw(st.sampled_from((st.integers(-4, 4),
+                                           st.integers(-2 ** 70, 2 ** 70))))
+        left = data.draw(_matrices(nr, k, entry))
+        right = data.draw(_matrices(k, nc, entry))
+        zero_rows = data.draw(st.sets(st.integers(0, nr - 1)))
+        zero_cols = data.draw(st.sets(st.integers(0, nc - 1)))
+        rows = [[0 if i in zero_rows or j in zero_cols else
+                 sum(left[i][t] * right[t][j] for t in range(k))
+                 for j in range(nc)] for i in range(nr)]
+        fractions = [[F(x) for x in row] for row in rows]
+        rank, pivots = _int_rref(rows)
+        assert (rank, pivots) == _rref(fractions)
+        for row in rows[rank:]:
+            assert not any(row)
+        for row, ref, col in zip(rows, fractions, pivots):
+            assert gcd(*row) == 1 and row[col] > 0
+            # the Fraction row has a unit pivot, so the multiple is row[col]
+            assert row == [row[col] * x for x in ref]
 
 class TestIntRankProfile:
     def test_pivots_match_oracle(self):

@@ -18,6 +18,7 @@ from chowstab import (Ambient, DiagonalOnePS, ProjectivePoint, Subspace,
                       SubspaceNotSpannedBySupport, chow_weight, classify,
                       destabilizer_from_subspace, exhaustive_ops_search,
                       mumford_weight, normalize_cycle)
+from classify_reference import reference_classify
 from optimized import run_optimized
 from search_reference import reference_search
 
@@ -196,6 +197,50 @@ class TestClassify:
         assert cert.ratio == 2
         assert cert.subspace.spanning_points == (ProjectivePoint([0, 1, 0]),)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_reference_loop(self, data):
+        cycle = data.draw(_classify_cycles())
+        got, want = classify(cycle), reference_classify(cycle)
+        assert got == want
+        assert _verdict_facts(got) == _verdict_facts(want)
+
+
+def _record_facts(rec):
+    v = rec.subspace
+    return (v.rref, v.spanning_points, rec.mass_on_v, rec.total_mass,
+            rec.ratio, rec.threshold)
+
+
+def _verdict_facts(verdict):
+    """Everything a verdict reports, with the spanning points that
+    `Subspace` equality leaves out; witnesses in order."""
+    cert = verdict.certificate
+    return (verdict.status,
+            None if cert is None else (_record_facts(cert),
+                                       cert.destabilizer),
+            [_record_facts(r) for r in verdict.witness_ratios])
+
+
+@st.composite
+def _classify_cycles(draw):
+    """P^n cycles, n in 1..4, with rational coordinates: zeros, denominators
+    up to 3, masses up to 3, and some points repeating an earlier direction
+    at another scale (they merge, adding their masses)."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-3, 3),
+                                            st.integers(1, 3)))
+    coords = st.lists(entry, min_size=n + 1, max_size=n + 1).filter(any)
+    points = draw(st.lists(st.tuples(coords, st.integers(1, 3)),
+                           max_size=n + 4))
+    if points:
+        scale = st.sampled_from([Fraction(-2), Fraction(1, 3), Fraction(3, 2)])
+        for i, s, m in draw(st.lists(st.tuples(
+                st.integers(0, len(points) - 1), scale, st.integers(1, 3)),
+                max_size=2)):
+            points.append(([c * s for c in points[i][0]], m))
+    return normalize_cycle(Ambient.projective(n), points)
+
 
 def _independent_destabilizer_weight(cycle, dest):
     """Recompute the adapted chow weight with sympy linear solves."""
@@ -364,35 +409,60 @@ class TestSearchOracle:
 class TestAdaptedFrame:
     @pytest.fixture
     def eliminations(self, monkeypatch):
-        """Count every Fraction RREF the stability layer runs."""
-        calls = []
-        real = stability._rref
+        """Count every Fraction and every integer RREF the stability layer
+        runs, by the number of rows eliminated."""
+        calls = {"_rref": [], "_int_rref": []}
+        for name, log in calls.items():
+            def counting(rows, real=getattr(stability, name), log=log):
+                log.append(len(rows))
+                return real(rows)
 
-        def counting(rows):
-            calls.append(len(rows))
-            return real(rows)
-
-        monkeypatch.setattr(stability, "_rref", counting)
+            monkeypatch.setattr(stability, name, counting)
         return calls
+
+    @staticmethod
+    def _candidates(eliminations, cycle, max_size):
+        """Candidate subsets of the scan, one Fraction Subspace each."""
+        eliminations["_rref"].clear()
+        list(stability._independent_subsets(cycle.support(), max_size))
+        count = len(eliminations["_rref"])
+        eliminations["_rref"].clear()
+        return count
 
     def test_destabilizer_eliminates_once(self, eliminations):
         for cycle in (HEAVY, COLLINEAR):
             sub = classify(cycle).certificate.subspace
-            eliminations.clear()
+            eliminations["_rref"].clear()
+            eliminations["_int_rref"].clear()
             destabilizer_from_subspace(cycle, sub)
-            assert len(eliminations) == 1
+            assert len(eliminations["_rref"]) == 1
+            assert eliminations["_int_rref"] == []
 
     def test_search_eliminates_once_per_subset_and_frame(self, eliminations):
         # collinear support: no subset spans the plane, so every frame needs
         # standard vectors to complete it
         for cycle in (COLLINEAR, HEAVY):
             n = cycle.ambient.n
-            eliminations.clear()
-            list(stability._independent_subsets(cycle.support(), n + 1))
-            candidates = len(eliminations)  # one Subspace per candidate
-            eliminations.clear()
+            candidates = self._candidates(eliminations, cycle, n + 1)
+            eliminations["_int_rref"].clear()
             exhaustive_ops_search(cycle, 1)
-            assert len(eliminations) == candidates + 1
+            assert len(eliminations["_int_rref"]) == candidates + 1
+            assert eliminations["_rref"] == []
+
+    def test_classify_scan_eliminates_over_the_integers(self, eliminations):
+        # one integer elimination per candidate subset; the Fraction RREF
+        # runs only for records: one Subspace per boundary flat, and for an
+        # unstable cycle the certified Subspace and its destabilizer's frame
+        for cycle in (FOUR_GENERAL, TRIANGLE, COLLINEAR, HEAVY):
+            candidates = self._candidates(eliminations, cycle, cycle.ambient.n)
+            eliminations["_int_rref"].clear()
+            verdict = classify(cycle)
+            assert len(eliminations["_int_rref"]) == candidates
+            records = len(verdict.witness_ratios)
+            assert len(eliminations["_rref"]) == (
+                records + 2 if verdict.is_unstable else records)
+            if cycle is FOUR_GENERAL:  # stable, no boundary flat
+                assert eliminations["_rref"] == []
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
