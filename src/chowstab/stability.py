@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import SubspaceNotSpannedBySupport, VerificationFailed
-from .exactcore import _int_rref, _rref
+from .exactcore import _int_rref
 from .geometry import (DiagonalOnePS, ProductPoint, ProjectivePoint,
                        WeightedCycle)
 
@@ -88,9 +88,11 @@ class Subspace:
         pts = tuple(spanning_points)
         if not pts:
             raise ValueError("a subspace needs at least one spanning point")
-        rows = [list(p.coords) for p in pts]
-        rank, _ = _rref(rows)
-        self.rref = tuple(tuple(r) for r in rows[:rank])
+        # each integer RREF row over its pivot entry is the Fraction RREF row
+        rows = [_primitive(p.coords) for p in pts]
+        _, pivots = _int_rref(rows)
+        self.rref = tuple(tuple(Fraction(x, r[c]) for x in r)
+                          for r, c in zip(rows, pivots))
         self.spanning_points = pts
 
     @property
@@ -103,8 +105,8 @@ class Subspace:
         return len(self.rref[0]) - 1
 
     def contains(self, p: ProjectivePoint) -> bool:
-        probe = [list(r) for r in self.rref] + [list(p.coords)]
-        return _rref(probe)[0] < len(probe)
+        probe = [_primitive(r) for r in self.rref] + [_primitive(p.coords)]
+        return _int_rref(probe)[0] < len(probe)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.rref == other.rref
@@ -135,19 +137,14 @@ class RatioRecord:
         return self.ratio == self.threshold
 
 
-def _subspace(points: Sequence[ProjectivePoint]) -> tuple[int, Subspace]:
-    v = Subspace(points)
-    return len(v.rref), v
-
-
-def _primitive(p: ProjectivePoint) -> list[int]:
-    """p as a primitive integer vector with a positive first nonzero entry.
+def _primitive(coords: Sequence[Fraction]) -> list[int]:
+    """Nonzero coords as a primitive integer vector, a positive multiple.
 
     Clearing denominators and dividing by the content are projective
     scalings, so the vector is exact for every span and zero pattern.
     """
-    den = lcm(*(c.denominator for c in p.coords))
-    v = [c.numerator * (den // c.denominator) for c in p.coords]
+    den = lcm(*(c.denominator for c in coords))
+    v = [c.numerator * (den // c.denominator) for c in coords]
     g = gcd(*v)
     return [x // g for x in v]
 
@@ -164,15 +161,16 @@ def _int_span(vectors: Sequence[Sequence[int]]
     return rank, tuple(map(tuple, rows[:rank]))
 
 
-def _independent_subsets(points: Sequence, max_size: int, span=_subspace):
+def _independent_subsets(points: Sequence, max_size: int, span):
     """Yield (indices, span(subset)) for every independent subset of points.
 
     `span` eliminates a candidate subset once and returns a tuple whose
     first entry is the subset's rank; the subset is independent when that
-    rank is its size.  The points are what `span` takes: `ProjectivePoint`s
-    for the default, integer vectors for `_int_span` and `_int_frame`.
-    Subsets come by size, then in lexicographic index order; each one extends an independent subset that is one point
-    smaller, so a span first shows up with a minimal spanning subset.
+    rank is its size.  The points are what `span` takes: integer vectors
+    for `_int_span` and `_int_frame`.  Subsets come by size, then in
+    lexicographic index order; each one extends an independent subset
+    that is one point smaller, so a span first shows up with a minimal
+    spanning subset.
     """
     layer: list[tuple[int, ...]] = [()]
     for size in range(1, min(len(points), max_size) + 1):
@@ -196,41 +194,19 @@ class Destabilizer:
     chow_weight: Fraction
 
 
-def _adapted_frame(vectors: Sequence[Sequence[Fraction]],
-                   points: Sequence[ProjectivePoint], n: int
-                   ) -> tuple[int, tuple[tuple[Fraction, ...], ...],
-                              list[list[Fraction]]]:
-    """Basis of Q^(n+1) adapted to the span of `vectors`, in one elimination.
-
-    The basis is the first independent vectors in order, completed by the
-    first standard vectors e_0, e_1, ... outside their span.  One RREF of
-    the columns [vectors | e_0..e_n | points] does it all: its pivot
-    columns are that greedy choice, and each point's reduced column holds
-    its coordinates in the basis.  Returns the number of independent
-    vectors, the basis rows and the coordinates of every point.
-    """
-    m = len(vectors)
-    std = [tuple(Fraction(int(i == j)) for j in range(n + 1))
-           for i in range(n + 1)]
-    cols = list(vectors) + std + [p.coords for p in points]
-    rows = [list(r) for r in zip(*cols)]
-    rank, pivots = _rref(rows)
-    if rank != n + 1:
-        raise VerificationFailed("standard vectors did not complete a basis")
-    basis = tuple(tuple(cols[c]) for c in pivots)
-    coords = [[row[c] for row in rows] for c in range(m + n + 1, len(cols))]
-    return sum(c < m for c in pivots), basis, coords
-
-
 def _int_frame(vectors: Sequence[Sequence[int]],
                points: Sequence[Sequence[int]], n: int
                ) -> tuple[int, list[int], list[int]]:
-    """`_adapted_frame` over Z: independent count, pivots, support masks.
+    """Basis of Q^(n+1) adapted to the span of `vectors`, in one elimination.
 
-    One `_int_rref` of the same columns [vectors | e_0..e_n | points], as
-    integer vectors.  Scaling a column changes neither the pivots nor any
-    zero pattern, so the greedy basis is the same, and bit i of a point's
-    mask is set when its i-th coordinate in that basis is nonzero.
+    The basis is the first independent vectors in order, completed by the
+    first standard vectors e_0, e_1, ... outside their span.  One
+    `_int_rref` of the columns [vectors | e_0..e_n | points] does it all:
+    its pivot columns are that greedy choice, and each point's reduced
+    column has the zero pattern of its coordinates in the basis, as
+    scaling a column changes neither.  Returns the number of independent
+    vectors, the pivots and each point's support mask, whose bit i is set
+    when its i-th coordinate in the basis is nonzero.
     """
     m = len(vectors)
     std = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
@@ -242,6 +218,15 @@ def _int_frame(vectors: Sequence[Sequence[int]],
     masks = [sum(1 << i for i, row in enumerate(rows) if row[c])
              for c in range(m + n + 1, len(cols))]
     return sum(c < m for c in pivots), pivots, masks
+
+
+def _frame_basis(vectors: Sequence[Sequence[Fraction]], pivots: Sequence[int],
+                 n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The basis an `_int_frame` of `vectors` picks, in Fractions."""
+    m = len(vectors)
+    return tuple(tuple(vectors[c]) if c < m else
+                 tuple(Fraction(int(c - m == j)) for j in range(n + 1))
+                 for c in pivots)
 
 
 def destabilizer_from_subspace(cycle: WeightedCycle,
@@ -260,8 +245,10 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
     k = subspace.dim
     if k > n - 1:
         raise ValueError("subspace must be proper")
-    independent, basis, adapted = _adapted_frame(
-        [p.coords for p in subspace.spanning_points], cycle.support(), n)
+    spanning = [p.coords for p in subspace.spanning_points]
+    independent, pivots, masks = _int_frame(
+        [_primitive(c) for c in spanning],
+        [_primitive(p.coords) for p in cycle.support()], n)
     if independent != k + 1:
         raise VerificationFailed(
             f"{independent} independent spanning points for dimension {k}")
@@ -269,10 +256,12 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
     ops = DiagonalOnePS(weights)
     total = Fraction(0)
     mass_on_v = 0
-    for (_, m), coords in zip(cycle.points, adapted):
-        total += m * mumford_weight(ProjectivePoint(coords), ops)
+    for (_, m), mask in zip(cycle.points, masks):
+        # a point's weight depends only on its support in the basis
+        bits = [mask >> i & 1 for i in range(n + 1)]
+        total += m * mumford_weight(ProjectivePoint(bits), ops)
         # p lies in V exactly when it needs no completing basis vector
-        if not any(coords[k + 1:]):
+        if mask >> (k + 1) == 0:
             mass_on_v += m
     closed_form = Fraction((n + 1) * mass_on_v
                            - cycle.total_mass() * (k + 1))
@@ -280,7 +269,7 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
         raise VerificationFailed(
             f"adapted weight {total} differs from the closed form "
             f"{closed_form}")
-    return Destabilizer(ops, basis, total)
+    return Destabilizer(ops, _frame_basis(spanning, pivots, n), total)
 
 
 @dataclass(frozen=True)
@@ -324,7 +313,7 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
     # flat lies in one of its spanning subsets, and the flat keeps its
     # first, minimal spanning subset
     flats: dict = {}
-    ints = [_primitive(p) for p in support]
+    ints = [_primitive(p.coords) for p in support]
     for idx, (_, key) in _independent_subsets(ints, n, _int_span):
         flats.setdefault(key, (idx, set()))[1].update(idx)
     boundary = []
@@ -344,6 +333,13 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
         return StabilityVerdict(status, None, tuple(boundary))
     rec = record(*best)
     dest = destabilizer_from_subspace(cycle, rec.subspace)
+    # the scan's mass comes from the flat's members, the destabilizer's
+    # from the frame's zero patterns: they must give the same weight
+    rank = rec.subspace.dim + 1
+    if dest.chow_weight != (n + 1) * rec.mass_on_v - total * rank:
+        raise VerificationFailed(
+            f"destabilizer weight {dest.chow_weight} disagrees with the "
+            f"mass {rec.mass_on_v} of the scanned flat")
     cert = InstabilityCertificate(**vars(rec), destabilizer=dest)
     return StabilityVerdict(UNSTABLE, cert, tuple(boundary))
 
@@ -385,7 +381,7 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     support = cycle.support()
     masses = [m for _, m in cycle.points]
 
-    ints = [tuple(_primitive(p)) for p in support]
+    ints = [tuple(_primitive(p.coords)) for p in support]
     units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
 
     def frame(vectors):
@@ -433,7 +429,5 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
             best = (int(scores[f, w]), block[w], f)
     score, wvec, f = best  # the product is never empty: bound >= 0
     idx, pivots, _ = list(frames.values())[f]
-    m = len(idx)
-    basis = tuple(support[idx[c]].coords if c < m
-                  else tuple(map(Fraction, units[c - m])) for c in pivots)
+    basis = _frame_basis([support[i].coords for i in idx], pivots, n)
     return SearchResult(Fraction(score, n + 1), wvec, basis, idx)

@@ -1,27 +1,55 @@
 """The per-weight-vector scoring loop, the reference for the search.
 
 reference_search enumerates the same adapted frames as
-exhaustive_ops_search and scores every weight vector of every frame one
-point at a time, in exact Python integers, keeping the smallest key
+exhaustive_ops_search, each from a Fraction elimination in
+_adapted_frame, and scores every weight vector of every frame one point
+at a time, in exact Python integers, keeping the smallest key
 (-score, weight vector, frame order).
 """
 
 import itertools
 from fractions import Fraction
 
-from chowstab.stability import (SearchResult, _adapted_frame,
-                                _independent_subsets)
+from chowstab.errors import VerificationFailed
+from chowstab.exactcore import _rref
+from chowstab.stability import SearchResult, _independent_subsets
+
+
+def _adapted_frame(vectors, points, n):
+    """Basis of Q^(n+1) adapted to the span of `vectors`, in one elimination.
+
+    The basis is the first independent vectors in order, completed by the
+    first standard vectors e_0, e_1, ... outside their span.  One RREF of
+    the columns [vectors | e_0..e_n | points] does it all: its pivot
+    columns are that greedy choice, and each point's reduced column holds
+    its coordinates in the basis.  Returns the number of independent
+    vectors, the basis rows and the coordinates of every point.
+    """
+    m = len(vectors)
+    std = [tuple(Fraction(int(i == j)) for j in range(n + 1))
+           for i in range(n + 1)]
+    cols = list(vectors) + std + [p.coords for p in points]
+    rows = [list(r) for r in zip(*cols)]
+    rank, pivots = _rref(rows)
+    if rank != n + 1:
+        raise VerificationFailed("standard vectors did not complete a basis")
+    basis = tuple(tuple(cols[c]) for c in pivots)
+    coords = [[row[c] for row in rows] for c in range(m + n + 1, len(cols))]
+    return sum(c < m for c in pivots), basis, coords
 
 
 def reference_search(cycle, bound):
     n = cycle.ambient.n
     support = cycle.support()
     masses = [m for _, m in cycle.points]
+
+    def frame(points):
+        return _adapted_frame([p.coords for p in points], support, n)
+
     frames = {}
-    subsets = [()] + [idx for idx, _ in _independent_subsets(support, n + 1)]
-    for idx in subsets:
-        _, basis, coords = _adapted_frame(
-            [support[i].coords for i in idx], support, n)
+    subsets = _independent_subsets(support, n + 1, frame)
+    for idx, (_, basis, coords) in itertools.chain([((), frame([]))],
+                                                   subsets):
         frames.setdefault(basis, (idx, coords))
 
     best_key = None

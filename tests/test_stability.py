@@ -18,9 +18,10 @@ from chowstab import (Ambient, DiagonalOnePS, ProjectivePoint, Subspace,
                       SubspaceNotSpannedBySupport, chow_weight, classify,
                       destabilizer_from_subspace, exhaustive_ops_search,
                       mumford_weight, normalize_cycle)
+from chowstab.exactcore import _rref
 from classify_reference import reference_classify
 from optimized import run_optimized
-from search_reference import reference_search
+from search_reference import _adapted_frame, reference_search
 
 P1 = Ambient.projective(1)
 P2 = Ambient.projective(2)
@@ -131,6 +132,33 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace([])
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_fraction_rref_and_rank_probe(self, data):
+        n = data.draw(st.integers(1, 4))
+        entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-3, 3),
+                                                st.integers(1, 3)))
+        coords = st.lists(entry, min_size=n + 1, max_size=n + 1).filter(any)
+        rows = data.draw(st.lists(coords, min_size=1, max_size=n + 1))
+        pair = st.tuples(st.integers(0, len(rows) - 1),
+                         st.integers(0, len(rows) - 1), entry, entry)
+
+        def in_span():
+            """Nonzero combinations of two of the drawn points."""
+            combos = [[a * x + b * y for x, y in zip(rows[i], rows[j])]
+                      for i, j, a, b in data.draw(st.lists(pair, max_size=3))]
+            return [c for c in combos if any(c)]
+
+        points = [ProjectivePoint(r) for r in rows + in_span()]
+        v = Subspace(points)
+        fraction_rows = [list(p.coords) for p in points]
+        rank, _ = _rref(fraction_rows)
+        assert v.rref == tuple(map(tuple, fraction_rows[:rank]))
+        probes = data.draw(st.lists(coords, max_size=3)) + in_span()
+        for q in map(ProjectivePoint, probes):
+            probe = [list(p.coords) for p in points] + [list(q.coords)]
+            assert v.contains(q) == (_rref(probe)[0] == rank)
+
 
 class TestClassify:
     def test_single_point_is_unstable(self):
@@ -196,6 +224,28 @@ class TestClassify:
         cert = classify(cyc).certificate
         assert cert.ratio == 2
         assert cert.subspace.spanning_points == (ProjectivePoint([0, 1, 0]),)
+
+    def test_frame_disagreeing_with_scan_raises_under_optimize(self):
+        # flipping one mask bit moves a point of V off it; the destabilizer's
+        # own closed form still holds, so only the scan's mass catches it
+        script = """
+            from chowstab import stability
+            from chowstab.errors import VerificationFailed
+            from chowstab.geometry import Ambient, normalize_cycle
+            heavy = normalize_cycle(Ambient.projective(2), [
+                ([1, 0, 0], 2), ([0, 1, 0], 1), ([0, 0, 1], 1)])
+            real = stability._int_frame
+            def flipped(vectors, points, n):
+                independent, pivots, masks = real(vectors, points, n)
+                masks[masks.index(1)] |= 1 << n  # the heavy point, in V
+                return independent, pivots, masks
+            stability._int_frame = flipped
+            try:
+                stability.classify(heavy)
+            except VerificationFailed:
+                print("raised")
+            """
+        assert run_optimized(script) == "raised"
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
@@ -409,34 +459,35 @@ class TestSearchOracle:
 class TestAdaptedFrame:
     @pytest.fixture
     def eliminations(self, monkeypatch):
-        """Count every Fraction and every integer RREF the stability layer
-        runs, by the number of rows eliminated."""
-        calls = {"_rref": [], "_int_rref": []}
-        for name, log in calls.items():
-            def counting(rows, real=getattr(stability, name), log=log):
-                log.append(len(rows))
-                return real(rows)
+        """Count every RREF the stability layer runs, by the number of rows
+        eliminated; the integer RREF is its only one."""
+        assert not hasattr(stability, "_rref")
+        calls = []
 
-            monkeypatch.setattr(stability, name, counting)
+        def counting(rows, real=stability._int_rref):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(stability, "_int_rref", counting)
         return calls
 
     @staticmethod
     def _candidates(eliminations, cycle, max_size):
-        """Candidate subsets of the scan, one Fraction Subspace each."""
-        eliminations["_rref"].clear()
-        list(stability._independent_subsets(cycle.support(), max_size))
-        count = len(eliminations["_rref"])
-        eliminations["_rref"].clear()
+        """Candidate subsets of the scan, one integer elimination each."""
+        ints = [stability._primitive(p.coords) for p in cycle.support()]
+        eliminations.clear()
+        list(stability._independent_subsets(ints, max_size,
+                                            stability._int_span))
+        count = len(eliminations)
+        eliminations.clear()
         return count
 
     def test_destabilizer_eliminates_once(self, eliminations):
         for cycle in (HEAVY, COLLINEAR):
             sub = classify(cycle).certificate.subspace
-            eliminations["_rref"].clear()
-            eliminations["_int_rref"].clear()
+            eliminations.clear()
             destabilizer_from_subspace(cycle, sub)
-            assert len(eliminations["_rref"]) == 1
-            assert eliminations["_int_rref"] == []
+            assert len(eliminations) == 1
 
     def test_search_eliminates_once_per_subset_and_frame(self, eliminations):
         # collinear support: no subset spans the plane, so every frame needs
@@ -444,25 +495,19 @@ class TestAdaptedFrame:
         for cycle in (COLLINEAR, HEAVY):
             n = cycle.ambient.n
             candidates = self._candidates(eliminations, cycle, n + 1)
-            eliminations["_int_rref"].clear()
             exhaustive_ops_search(cycle, 1)
-            assert len(eliminations["_int_rref"]) == candidates + 1
-            assert eliminations["_rref"] == []
+            assert len(eliminations) == candidates + 1
 
     def test_classify_scan_eliminates_over_the_integers(self, eliminations):
-        # one integer elimination per candidate subset; the Fraction RREF
-        # runs only for records: one Subspace per boundary flat, and for an
-        # unstable cycle the certified Subspace and its destabilizer's frame
+        # one elimination per candidate subset and one per boundary flat's
+        # Subspace; for an unstable cycle one more for the certified
+        # Subspace and one for its destabilizer's frame
         for cycle in (FOUR_GENERAL, TRIANGLE, COLLINEAR, HEAVY):
             candidates = self._candidates(eliminations, cycle, cycle.ambient.n)
-            eliminations["_int_rref"].clear()
             verdict = classify(cycle)
-            assert len(eliminations["_int_rref"]) == candidates
             records = len(verdict.witness_ratios)
-            assert len(eliminations["_rref"]) == (
+            assert len(eliminations) == candidates + (
                 records + 2 if verdict.is_unstable else records)
-            if cycle is FOUR_GENERAL:  # stable, no boundary flat
-                assert eliminations["_rref"] == []
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
@@ -473,8 +518,11 @@ class TestAdaptedFrame:
         vectors = data.draw(st.lists(vec, max_size=n + 2))
         points = [ProjectivePoint(c) for c in
                   data.draw(st.lists(vec.filter(any), max_size=4))]
-        independent, basis, coords = stability._adapted_frame(
-            vectors, points, n)
+        independent, basis, coords = _adapted_frame(vectors, points, n)
+        # the integer frame takes any nonzero multiple of each column
+        scaled = [[int(x * 6) for x in v] for v in vectors]
+        int_independent, pivots, masks = stability._int_frame(
+            scaled, [stability._primitive(p.coords) for p in points], n)
         # greedy oracle: keep each candidate that raises the rank
         chosen = []
 
@@ -484,14 +532,19 @@ class TestAdaptedFrame:
                     chosen.append(v)
 
         greedy(vectors)
-        assert independent == len(chosen)
+        assert independent == int_independent == len(chosen)
         greedy([[Fraction(int(i == j)) for j in range(n + 1)]
                 for i in range(n + 1)])
         assert [list(b) for b in basis] == chosen
-        assert len(coords) == len(points)
-        for p, c in zip(points, coords):
+        assert [list(b) for b in
+                stability._frame_basis(vectors, pivots, n)] == chosen
+        assert len(coords) == len(masks) == len(points)
+        oracle = Matrix([[Rational(x) for x in b] for b in chosen]).T
+        for p, c, mask in zip(points, coords, masks):
             assert [sum(ci * b[j] for ci, b in zip(c, basis))
                     for j in range(n + 1)] == list(p.coords)
+            solved = oracle.LUsolve(Matrix([Rational(x) for x in p.coords]))
+            assert mask == sum(1 << i for i, x in enumerate(solved) if x != 0)
 
 
 _SMALL_COORD = st.integers(-2, 2)
