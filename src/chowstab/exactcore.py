@@ -1,5 +1,10 @@
 """Exact dense linear algebra over Q and over the polynomial ring Q[t].
 
+One exact row reduction serves the package: `_rref`, a fraction-free
+Gauss-Jordan elimination over Z.  Rational rows enter it as primitive
+integer vectors (`_primitive`), and `rank_kernel`, `_solve`, the stability
+layer and the fallback of the certified rank profile all run on it.
+
 `graded_limit` computes every weight-graded flat limit the package needs.
 The Q[t] part (PolyT and limit_subspace) computes the same limits by
 another route and is kept only as the reference the tests compare against.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -163,44 +168,34 @@ class PolyT:
 # rational matrices
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
-    """In-place reduced row echelon form; returns (rank, pivot columns)."""
-    if not rows:
-        return 0, []
-    ncols = len(rows[0])
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        pr = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pr = r
-                break
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank, pivots
+def _primitive(row: Sequence) -> list[int]:
+    """A row of ints or Fractions as a primitive integer vector.
+
+    Clearing denominators and dividing by the content multiply the row by
+    a positive rational, so its span, its zero pattern and the ratios of
+    its entries are unchanged.  A zero row stays zero.
+    """
+    den = lcm(*(x.denominator for x in row))
+    v = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
-def _int_rref(rows: list[list[int]]) -> tuple[int, list[int]]:
+def _check_shape(rows: Sequence[Sequence], ncols: int, what: str) -> None:
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"{what} do not form a {len(rows)} x {ncols} matrix")
+
+
+def _rref(rows: list[list[int]]) -> tuple[int, list[int]]:
     """In-place fraction-free reduced row echelon form over Z.
 
     Gauss-Jordan elimination without division: a row is reduced by
     pivot * row - entry * pivot_row, then divided by the gcd of its
-    entries.  Every nonzero row ends primitive with a positive pivot, so it
-    is the unique positive multiple of the matching `_rref` row that has
-    content 1: the rank, the pivots and the zero pattern of every column
-    are those of `_rref`, and the rows are canonical for the row space.
+    entries.  Every nonzero row ends primitive with a positive pivot, so
+    it is the unique positive multiple with content 1 of the reduced row
+    echelon form over Q: the rank, the pivots and the zero pattern of
+    every column are the same, each rational RREF entry is an entry over
+    its row's pivot, and the rows are canonical for the row space.
     Returns (rank, pivot columns).
     """
     if not rows:
@@ -239,88 +234,40 @@ def _int_rref(rows: list[list[int]]) -> tuple[int, list[int]]:
     return rank, pivots
 
 
-def _kernel_from_rref(rows: list[list[Fraction]], pivots: list[int],
-                      ncols: int) -> list[tuple[Fraction, ...]]:
-    """Kernel basis with a unit entry at each free column."""
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
-
-
 def rank_kernel(rows: Sequence[Sequence], ncols: int
                 ) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Rank and a deterministic kernel basis of a rational matrix.
 
-    Entries may be ints or Fractions; they are converted to Fraction.  Each
-    kernel vector has entry 1 at one free column of the reduced row echelon
-    form and is zero after it, so the output is canonical for a given input.
+    Entries may be ints or Fractions.  Each kernel vector has entry 1 at
+    one free column of the reduced row echelon form and is zero after it,
+    so the output is canonical for a given input.
     """
-    work = [[_rat(x) for x in row] for row in rows]
+    _check_shape(rows, ncols, "rows")
+    work = [_primitive(row) for row in rows]
     rank, pivots = _rref(work)
-    return rank, _kernel_from_rref(work, pivots, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(work, pivots):
+            v[p] = Fraction(-row[f], row[p])
+        basis.append(tuple(v))
+    return rank, basis
 
 
 def _solve(a_rows: Sequence[Sequence[Fraction]],
            b: Sequence[Fraction]) -> list[Fraction]:
     """Solve the square system A x = b; ValueError when A is singular."""
     n = len(a_rows)
-    aug = [list(row) + [_rat(b[i])] for i, row in enumerate(a_rows)]
+    aug = [_primitive(list(row) + [_rat(b[i])])
+           for i, row in enumerate(a_rows)]
     rank, pivots = _rref(aug)
     if rank < n or any(p >= n for p in pivots):
         raise ValueError("singular system")
-    return [row[n] for row in aug]
-
-
-def _bareiss_rank_profile(rows: Sequence[Sequence[int]], ncols: int
-                          ) -> tuple[int, list[int]]:
-    """Rank and pivot columns of an integer matrix, fraction-free.
-
-    Bareiss one-step elimination on a copy of `rows`: every intermediate
-    entry is a minor of the input, and the division by the previous pivot is
-    exact.  It is the fallback of `int_rank_profile` and the oracle its
-    tests compare against.
-    """
-    rows = [list(row) for row in rows]
-    rank = 0
-    prev = 1
-    pivots = []
-    nrows = len(rows)
-    for col in range(ncols):
-        pr = None
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        if pr != rank:
-            rows[rank], rows[pr] = rows[pr], rows[rank]
-        piv_row = rows[rank]
-        piv = piv_row[col]
-        for r in range(rank + 1, nrows):
-            row = rows[r]
-            a = row[col]
-            if a:
-                for j in range(col + 1, ncols):
-                    row[j] = (piv * row[j] - a * piv_row[j]) // prev
-            elif prev != piv:
-                for j in range(col + 1, ncols):
-                    if row[j]:
-                        row[j] = (piv * row[j]) // prev
-            row[col] = 0
-        prev = piv
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, pivots
+    return [Fraction(row[n], row[i]) for i, row in enumerate(aug)]
 
 
 # The 32 largest primes below 2^31.  Residues stay below 2^31, so the
@@ -357,8 +304,8 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
     column f is in the span of the earlier pivot columns, so no prefix rank
     over Q exceeds the one mod p.  A reconstruction or check that fails
     adds the next prime; a prime whose profile some prefix rank shows to be
-    smaller is unlucky and dropped.  When PRIMES runs out,
-    `_bareiss_rank_profile` decides.
+    smaller is unlucky and dropped.  When PRIMES runs out, `_rref` over Z
+    decides, on a copy of the rows.
     """
     nrows = len(rows)
     if not nrows or not ncols:
@@ -396,7 +343,7 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
             blocks = [b[:, ~ok] for b in blocks]
         if not pending.size:
             return len(pivots), live[pivots].tolist()
-    return _bareiss_rank_profile(rows, ncols)
+    return _rref([list(row) for row in rows])
 
 
 def _int_array(rows: Sequence[Sequence[int]], ncols: int
@@ -607,10 +554,10 @@ def graded_limit(rows: Sequence[Sequence[int]], weights: Sequence[int],
     dimension in weight c is the number of free columns of weight c.
 
     Returns (rank, {weight: dim}, basis).  With want_basis the basis of
-    top-weight parts is returned in the original column order, from a
-    Fraction kernel; otherwise only the certified rank profile
-    (`int_rank_profile`) is taken and the basis is None.  `rows` is left
-    unchanged.
+    top-weight parts is returned in the original column order, from the
+    exact kernel of `rank_kernel`; otherwise only the certified rank
+    profile (`int_rank_profile`) is taken and the basis is None.  `rows`
+    is left unchanged.
     """
     ncols = len(weights)
     order = sorted(range(ncols), key=lambda j: (weights[j], j))

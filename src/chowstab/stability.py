@@ -10,13 +10,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import SubspaceNotSpannedBySupport, VerificationFailed
-from .exactcore import _int_rref
+from .exactcore import _check_shape, _primitive, _rref
 from .geometry import (DiagonalOnePS, ProductPoint, ProjectivePoint,
                        WeightedCycle)
 
@@ -88,9 +87,10 @@ class Subspace:
         pts = tuple(spanning_points)
         if not pts:
             raise ValueError("a subspace needs at least one spanning point")
-        # each integer RREF row over its pivot entry is the Fraction RREF row
+        # each integer RREF row over its pivot entry is the rational RREF row
         rows = [_primitive(p.coords) for p in pts]
-        _, pivots = _int_rref(rows)
+        _check_shape(rows, len(rows[0]), "spanning points")
+        _, pivots = _rref(rows)
         self.rref = tuple(tuple(Fraction(x, r[c]) for x in r)
                           for r, c in zip(rows, pivots))
         self.spanning_points = pts
@@ -106,7 +106,8 @@ class Subspace:
 
     def contains(self, p: ProjectivePoint) -> bool:
         probe = [_primitive(r) for r in self.rref] + [_primitive(p.coords)]
-        return _int_rref(probe)[0] < len(probe)
+        _check_shape(probe, self.ambient_dim + 1, "subspace rows and point")
+        return _rref(probe)[0] < len(probe)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.rref == other.rref
@@ -137,18 +138,6 @@ class RatioRecord:
         return self.ratio == self.threshold
 
 
-def _primitive(coords: Sequence[Fraction]) -> list[int]:
-    """Nonzero coords as a primitive integer vector, a positive multiple.
-
-    Clearing denominators and dividing by the content are projective
-    scalings, so the vector is exact for every span and zero pattern.
-    """
-    den = lcm(*(c.denominator for c in coords))
-    v = [c.numerator * (den // c.denominator) for c in coords]
-    g = gcd(*v)
-    return [x // g for x in v]
-
-
 def _int_span(vectors: Sequence[Sequence[int]]
               ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Rank and canonical integer RREF rows of the span of `vectors`.
@@ -157,7 +146,7 @@ def _int_span(vectors: Sequence[Sequence[int]]
     rank of them, so spans of different dimensions never share a key.
     """
     rows = [list(v) for v in vectors]
-    rank, _ = _int_rref(rows)
+    rank, _ = _rref(rows)
     return rank, tuple(map(tuple, rows[:rank]))
 
 
@@ -201,7 +190,7 @@ def _int_frame(vectors: Sequence[Sequence[int]],
 
     The basis is the first independent vectors in order, completed by the
     first standard vectors e_0, e_1, ... outside their span.  One
-    `_int_rref` of the columns [vectors | e_0..e_n | points] does it all:
+    `_rref` of the columns [vectors | e_0..e_n | points] does it all:
     its pivot columns are that greedy choice, and each point's reduced
     column has the zero pattern of its coordinates in the basis, as
     scaling a column changes neither.  Returns the number of independent
@@ -212,7 +201,7 @@ def _int_frame(vectors: Sequence[Sequence[int]],
     std = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
     cols = list(vectors) + std + list(points)
     rows = [list(r) for r in zip(*cols)]
-    rank, pivots = _int_rref(rows)
+    rank, pivots = _rref(rows)
     if rank != n + 1:
         raise VerificationFailed("standard vectors did not complete a basis")
     masks = [sum(1 << i for i, row in enumerate(rows) if row[c])
@@ -256,10 +245,13 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
     ops = DiagonalOnePS(weights)
     total = Fraction(0)
     mass_on_v = 0
+    weight_of: dict[int, Fraction] = {}
     for (_, m), mask in zip(cycle.points, masks):
         # a point's weight depends only on its support in the basis
-        bits = [mask >> i & 1 for i in range(n + 1)]
-        total += m * mumford_weight(ProjectivePoint(bits), ops)
+        if mask not in weight_of:
+            bits = [mask >> i & 1 for i in range(n + 1)]
+            weight_of[mask] = mumford_weight(ProjectivePoint(bits), ops)
+        total += m * weight_of[mask]
         # p lies in V exactly when it needs no completing basis vector
         if mask >> (k + 1) == 0:
             mass_on_v += m

@@ -10,18 +10,18 @@ the frame of search_reference._adapted_frame.
 
 from fractions import Fraction
 
-from chowstab.exactcore import _rref
 from chowstab.geometry import DiagonalOnePS, ProjectivePoint
 from chowstab.stability import (STABLE, STRICTLY_SEMISTABLE, UNSTABLE,
                                 Destabilizer, InstabilityCertificate,
                                 RatioRecord, StabilityVerdict, Subspace,
                                 _independent_subsets, mumford_weight)
+from exact_reference import fraction_rref
 from search_reference import _adapted_frame
 
 
 def _fraction_span(points):
     rows = [list(p.coords) for p in points]
-    rank, _ = _rref(rows)
+    rank, _ = fraction_rref(rows)
     return rank, tuple(map(tuple, rows[:rank]))
 
 

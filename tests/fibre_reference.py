@@ -9,17 +9,18 @@ those block ranks must add up to its dimension.
 
 from fractions import Fraction
 
-from chowstab.exactcore import _rref, limit_subspace
+from chowstab.exactcore import limit_subspace
 from chowstab.hilbert import MonomialBasis
 from chowstab.testconfig import central_fibre_sections, moving_section_family
+from exact_reference import fraction_rref
 
 
 def span_equal(rows_a, rows_b):
     a = [[Fraction(x) for x in r] for r in rows_a]
     b = [[Fraction(x) for x in r] for r in rows_b]
-    ra, _ = _rref([r[:] for r in a])
-    rb, _ = _rref([r[:] for r in b])
-    rab, _ = _rref([r[:] for r in a + b])
+    ra, _ = fraction_rref([r[:] for r in a])
+    rb, _ = fraction_rref([r[:] for r in b])
+    rab, _ = fraction_rref([r[:] for r in a + b])
     return ra == rb == rab
 
 
@@ -31,7 +32,7 @@ def reference_fibre(cycle, alpha, gamma, r):
     graded = {}
     for c in sorted(set(mu)):
         cols = [j for j, w in enumerate(mu) if w == c]
-        rk, _ = _rref([[row[j] for j in cols] for row in lim])
+        rk, _ = fraction_rref([[row[j] for j in cols] for row in lim])
         if rk:
             graded[c] = rk
     assert sum(graded.values()) == len(lim), \

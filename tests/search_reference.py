@@ -11,8 +11,8 @@ import itertools
 from fractions import Fraction
 
 from chowstab.errors import VerificationFailed
-from chowstab.exactcore import _rref
 from chowstab.stability import SearchResult, _independent_subsets
+from exact_reference import fraction_rref
 
 
 def _adapted_frame(vectors, points, n):
@@ -30,7 +30,7 @@ def _adapted_frame(vectors, points, n):
            for i in range(n + 1)]
     cols = list(vectors) + std + [p.coords for p in points]
     rows = [list(r) for r in zip(*cols)]
-    rank, pivots = _rref(rows)
+    rank, pivots = fraction_rref(rows)
     if rank != n + 1:
         raise VerificationFailed("standard vectors did not complete a basis")
     basis = tuple(tuple(cols[c]) for c in pivots)

@@ -10,20 +10,23 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from chowstab import (Ambient, DiagonalOnePS, central_fibre_sections, classify,
+                      exhaustive_ops_search, normalize_cycle)
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def _hooks(monkeypatch):
+def _tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while it executes
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
-    return tracing.HOOKS
+    return tracing
 
 
 def test_every_hook_target_resolves(monkeypatch):
-    hooks = _hooks(monkeypatch)
+    hooks = _tracing(monkeypatch).HOOKS
     assert hooks
     missing = []
     for hook in hooks:
@@ -33,3 +36,34 @@ def test_every_hook_target_resolves(monkeypatch):
         if not callable(target):
             missing.append(f"{hook.module}.{hook.attr}")
     assert missing == []
+
+
+def test_exact_elimination_is_traced(monkeypatch):
+    # the stability layer and the kernel route share exactcore._rref, so
+    # the rref layer counts the scan's, the frames' and the kernel's work
+    tracing = _tracing(monkeypatch)
+    assert any(h.layer == "exactcore.rref" for h in tracing.HOOKS)
+    p2 = Ambient.projective(2)
+    collinear = normalize_cycle(p2, [([1, 0, 0], 1), ([0, 1, 0], 1),
+                                     ([1, 1, 0], 1)])
+    general = normalize_cycle(p2, [([1, 0, 0], 1), ([0, 1, 0], 1),
+                                   ([0, 0, 1], 1), ([1, 1, 1], 1)])
+    runs = {
+        "classify": lambda: classify(collinear),
+        "search": lambda: exhaustive_ops_search(collinear, 1),
+        "fibre": lambda: central_fibre_sections(
+            general, DiagonalOnePS((1, 0, -1)), 3),
+    }
+    tracer = tracing.Tracer(enabled=True)
+    installed = tracing.Installed(tracer)
+    try:
+        assert installed.absent == []
+        counted = {}
+        for name, run in runs.items():
+            before = tracer.stats["exactcore.rref"].calls
+            run()
+            counted[name] = tracer.stats["exactcore.rref"].calls - before
+    finally:
+        installed.remove()
+    assert classify(collinear).is_unstable
+    assert all(counted.values()), counted

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from chowstab import exactcore
 from chowstab.errors import DependentFamily, VerificationFailed
-from chowstab.exactcore import (PRIMES, PolyT, _bareiss_rank_profile,
-                                _int_array, _int_rref, _rref, _residues, _rref_mod, _solve,
-                                graded_limit, int_rank_profile,
-                                interpolate_poly, limit_subspace, poly_eval,
-                                rank_kernel)
+from chowstab.exactcore import (PRIMES, PolyT, _int_array, _residues, _rref,
+                                _rref_mod, _solve, graded_limit,
+                                int_rank_profile, interpolate_poly,
+                                limit_subspace, poly_eval, rank_kernel)
 from chowstab.geometry import Ambient, DiagonalOnePS, normalize_cycle
 from chowstab.hilbert import FatPointSpec, MonomialBasis, jet_vanishing_matrix
+from exact_reference import (bareiss_rank_profile, fraction_rank_kernel,
+                             fraction_rref, fraction_solve)
 from optimized import run_optimized
 
 
@@ -101,13 +102,30 @@ class TestRankKernel:
         _, k2 = rank_kernel(rows, 3)
         assert k1 == k2 == [(F(-1), F(1), F(0))]
 
+    def test_rows_longer_than_ncols_refused(self):
+        with pytest.raises(ValueError, match="do not form a 1 x 2 matrix"):
+            rank_kernel([[1, 2, 3]], 2)
+
+    def test_ragged_rows_refused(self):
+        with pytest.raises(ValueError, match="do not form a 2 x 2 matrix"):
+            rank_kernel([[1, 2], [3]], 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_fraction_reference(self, data):
+        nr, nc = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 7))
+        rows = data.draw(_rational_matrices(nr, nc))
+        rank, kernel = rank_kernel(rows, nc)
+        assert (rank, kernel) == fraction_rank_kernel(rows, nc)
+        assert all(type(x) is F for v in kernel for x in v)
+
 
 class TestIntRref:
     def test_hand_case(self):
         rows = [[0, 2, 4, 6], [0, -3, 0, 3], [0, 1, 2, 3]]
-        assert _int_rref(rows) == (2, [1, 2])
+        assert _rref(rows) == (2, [1, 2])
         assert rows == [[0, 1, 0, -1], [0, 0, 1, 2], [0, 0, 0, 0]]
-        assert _int_rref([]) == (0, [])
+        assert _rref([]) == (0, [])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
@@ -124,8 +142,8 @@ class TestIntRref:
                  sum(left[i][t] * right[t][j] for t in range(k))
                  for j in range(nc)] for i in range(nr)]
         fractions = [[F(x) for x in row] for row in rows]
-        rank, pivots = _int_rref(rows)
-        assert (rank, pivots) == _rref(fractions)
+        rank, pivots = _rref(rows)
+        assert (rank, pivots) == fraction_rref(fractions)
         for row in rows[rank:]:
             assert not any(row)
         for row, ref, col in zip(rows, fractions, pivots):
@@ -177,7 +195,7 @@ class TestIntRankProfile:
         for p in PRIMES[:2]:
             assert _rref_mod(_residues(_int_array(rows, 2)[0], p), p) == [0]
         calls = []
-        monkeypatch.setattr(exactcore, "_bareiss_rank_profile",
+        monkeypatch.setattr(exactcore, "_rref",
                             lambda *args: calls.append(args))
         assert int_rank_profile(rows, 2) == (2, [0, 1])
         assert calls == []
@@ -198,20 +216,22 @@ class TestIntRankProfile:
             sm = sympy.Matrix(rows)
             want = (sm.rank(), list(sm.rref()[1]))
             assert int_rank_profile(rows, nc) == want
-            assert _bareiss_rank_profile(rows, nc) == want
+            assert bareiss_rank_profile(rows, nc) == want
 
     def test_falls_back_when_the_primes_run_out(self, monkeypatch):
         rows = [[1, 1], [1, 1 + PRIMES[0] * PRIMES[1]]]
         calls = []
 
-        def spy(rows, ncols):
-            calls.append(ncols)
-            return _bareiss_rank_profile(rows, ncols)
+        def spy(work):
+            calls.append([row[:] for row in work])
+            return _rref(work)
 
         monkeypatch.setattr(exactcore, "PRIMES", (PRIMES[0],))
-        monkeypatch.setattr(exactcore, "_bareiss_rank_profile", spy)
+        monkeypatch.setattr(exactcore, "_rref", spy)
         assert int_rank_profile(rows, 2) == (2, [0, 1])
-        assert calls == [2]
+        # the fallback eliminates a copy: the caller's rows stay as they were
+        assert calls == [[[1, 1], [1, 1 + PRIMES[0] * PRIMES[1]]]]
+        assert rows == [[1, 1], [1, 1 + PRIMES[0] * PRIMES[1]]]
 
     def test_unlucky_primes_under_optimize(self):
         # no step of the certificate may be an assert statement
@@ -239,7 +259,7 @@ class TestIntRankProfile:
         right = data.draw(_matrices(k, nc, entry))
         rows = [[sum(left[i][t] * right[t][j] for t in range(k))
                  for j in range(nc)] for i in range(nr)]
-        assert int_rank_profile(rows, nc) == _bareiss_rank_profile(rows, nc)
+        _assert_profile_and_fallback(rows, nc)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())
@@ -257,13 +277,52 @@ class TestIntRankProfile:
         order = sorted(range(len(w)), key=lambda j: (w[j], j))
         jets = jet_vanishing_matrix(FatPointSpec(cycle, degree, r))
         rows = [[row[j] for j in order] for row in jets]
-        assert int_rank_profile(rows, len(w)) == \
-            _bareiss_rank_profile(rows, len(w))
+        _assert_profile_and_fallback(rows, len(w))
+
+
+def _assert_profile_and_fallback(rows, ncols):
+    """The certified profile and its `_rref` fallback both give the
+    Bareiss profile, and neither changes the rows."""
+    want = bareiss_rank_profile(rows, ncols)
+    copy = [row[:] for row in rows]
+    assert int_rank_profile(rows, ncols) == want
+    # with no primes the certified profile goes straight to the fallback
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactcore, "PRIMES", ())
+        assert int_rank_profile(rows, ncols) == want
+    assert rows == copy
 
 
 def _matrices(nr, nc, entry):
     return st.lists(st.lists(entry, min_size=nc, max_size=nc),
                     min_size=nr, max_size=nr)
+
+
+@st.composite
+def _rational_matrices(draw, nr, nc):
+    """Ints and Fractions with denominators up to 5 and small or 70-bit
+    numerators, either drawn entry by entry or as a low-rank product, with
+    some rows and columns zeroed."""
+    num = draw(st.sampled_from((st.integers(-4, 4),
+                                st.integers(-2 ** 70, 2 ** 70))))
+    entry = st.builds(lambda a, b: a if b == 1 else F(a, b), num,
+                      st.integers(1, 5))
+    if draw(st.booleans()):
+        rows = draw(_matrices(nr, nc, entry))
+    else:
+        k = draw(st.integers(0, 3))
+        left = draw(_matrices(nr, k, entry))
+        right = draw(_matrices(k, nc, entry))
+        rows = [[sum((left[i][t] * right[t][j] for t in range(k)), F(0))
+                 for j in range(nc)] for i in range(nr)]
+    kind = draw(st.sampled_from(("dense", "zero row", "zero column")))
+    if kind == "zero row" and nr:
+        rows[draw(st.integers(0, nr - 1))] = [0] * nc
+    if kind == "zero column":
+        j = draw(st.integers(0, nc - 1))
+        for row in rows:
+            row[j] = 0
+    return rows
 
 
 class TestGradedLimit:
@@ -354,9 +413,8 @@ class TestLimitSubspace:
                  tuple(3 * b for b in fam[1])]
 
         def span_rref(vectors):
-            from chowstab.exactcore import _rref
             rows = [list(v) for v in vectors]
-            rank, _ = _rref(rows)
+            rank, _ = fraction_rref(rows)
             return tuple(tuple(r) for r in rows[:rank])
 
         assert span_rref(limit_subspace(fam)) == \
@@ -384,6 +442,23 @@ class TestSolve:
         for b in ([F(1), F(2)], [F(1), F(0)]):
             with pytest.raises(ValueError):
                 _solve(a, b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_fraction_reference(self, data):
+        n = data.draw(st.integers(1, 5))
+        a = data.draw(_rational_matrices(n, n))
+        b = data.draw(_rational_matrices(1, n))[0]
+        try:
+            want = fraction_solve(a, b)
+        except ValueError:
+            # singular systems raise on both sides
+            with pytest.raises(ValueError, match="singular system"):
+                _solve(a, b)
+            return
+        got = _solve(a, b)
+        assert got == want
+        assert all(type(x) is F for x in got)
 
 
 class TestInterpolatePoly:

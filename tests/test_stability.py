@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational
 
-from chowstab import stability
+from chowstab import exactcore, stability
 from chowstab import (Ambient, DiagonalOnePS, ProjectivePoint, Subspace,
                       SubspaceNotSpannedBySupport, chow_weight, classify,
                       destabilizer_from_subspace, exhaustive_ops_search,
                       mumford_weight, normalize_cycle)
-from chowstab.exactcore import _rref
 from classify_reference import reference_classify
+from exact_reference import fraction_rref
 from optimized import run_optimized
 from search_reference import _adapted_frame, reference_search
 
@@ -132,6 +132,23 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace([])
 
+    def test_point_of_a_larger_ambient_refused(self):
+        line = Subspace([ProjectivePoint([1, 0, 0]),
+                         ProjectivePoint([0, 1, 0])])
+        with pytest.raises(ValueError, match="do not form a 3 x 3 matrix"):
+            line.contains(ProjectivePoint([1, 1, 0, 5]))
+
+    def test_point_of_a_smaller_ambient_refused(self):
+        line = Subspace([ProjectivePoint([1, 0, 0]),
+                         ProjectivePoint([0, 1, 0])])
+        with pytest.raises(ValueError, match="do not form a 3 x 3 matrix"):
+            line.contains(ProjectivePoint([1, 1]))
+
+    def test_spanning_points_of_different_ambients_refused(self):
+        with pytest.raises(ValueError, match="do not form a 2 x 3 matrix"):
+            Subspace([ProjectivePoint([1, 0, 0]),
+                      ProjectivePoint([0, 1, 0, 0])])
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_fraction_rref_and_rank_probe(self, data):
@@ -152,12 +169,12 @@ class TestSubspace:
         points = [ProjectivePoint(r) for r in rows + in_span()]
         v = Subspace(points)
         fraction_rows = [list(p.coords) for p in points]
-        rank, _ = _rref(fraction_rows)
+        rank, _ = fraction_rref(fraction_rows)
         assert v.rref == tuple(map(tuple, fraction_rows[:rank]))
         probes = data.draw(st.lists(coords, max_size=3)) + in_span()
         for q in map(ProjectivePoint, probes):
             probe = [list(p.coords) for p in points] + [list(q.coords)]
-            assert v.contains(q) == (_rref(probe)[0] == rank)
+            assert v.contains(q) == (fraction_rref(probe)[0] == rank)
 
 
 class TestClassify:
@@ -460,15 +477,15 @@ class TestAdaptedFrame:
     @pytest.fixture
     def eliminations(self, monkeypatch):
         """Count every RREF the stability layer runs, by the number of rows
-        eliminated; the integer RREF is its only one."""
-        assert not hasattr(stability, "_rref")
+        eliminated; exactcore's integer RREF is its only one."""
+        assert stability._rref is exactcore._rref
         calls = []
 
-        def counting(rows, real=stability._int_rref):
+        def counting(rows, real=stability._rref):
             calls.append(len(rows))
             return real(rows)
 
-        monkeypatch.setattr(stability, "_int_rref", counting)
+        monkeypatch.setattr(stability, "_rref", counting)
         return calls
 
     @staticmethod
