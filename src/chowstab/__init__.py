@@ -10,7 +10,7 @@ from .errors import (ChowstabError, DependentFamily, NonRationalCoordinate,
                      PolynomialityFailed, RankDrop, SchemaError,
                      SubspaceNotSpannedBySupport, VerificationFailed,
                      ZeroLeadingCoefficient, ZeroPoint)
-from .exactcore import QQ, int_rank_profile, interpolate_poly, poly_eval
+from .exactcore import int_rank_profile, interpolate_poly, poly_eval
 from .geometry import (Ambient, DiagonalOnePS, ProductPoint, ProjectivePoint,
                        WeightedCycle, chow_multiplicities, collision_clusters,
                        limit_point, normalize_cycle, project_cycle)
@@ -36,7 +36,7 @@ __all__ = [
     "PolynomialityFailed", "RankDrop", "SchemaError",
     "SubspaceNotSpannedBySupport", "VerificationFailed",
     "ZeroLeadingCoefficient", "ZeroPoint",
-    "QQ", "int_rank_profile", "interpolate_poly", "poly_eval",
+    "int_rank_profile", "interpolate_poly", "poly_eval",
     "Ambient", "DiagonalOnePS", "ProductPoint", "ProjectivePoint",
     "WeightedCycle", "chow_multiplicities", "collision_clusters",
     "limit_point", "normalize_cycle", "project_cycle",

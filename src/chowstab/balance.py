@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ZeroPoint
-from .exactcore import int_rank_profile
+from .exactcore import _primitive, int_rank_profile
 from .geometry import WeightedCycle, chow_multiplicities
 
 __all__ = [
@@ -278,8 +278,7 @@ def check_no_common_zero(cycle: WeightedCycle) -> bool:
     rows: list[list[int]] = []
     for i, (p, _) in enumerate(cycle.points):
         # each p_i may be rescaled: the equations are homogeneous in it
-        den = math.lcm(*(x.denominator for x in p.coords))
-        coords = [int(x * den) for x in p.coords]
+        coords = _primitive(p.coords)
         for j in range(dim):
             row = [0] * nvars
             row[j * dim:(j + 1) * dim] = coords

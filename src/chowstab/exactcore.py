@@ -29,10 +29,7 @@ import numpy as np
 
 from .errors import DependentFamily, VerificationFailed
 
-QQ = Fraction
-
 __all__ = [
-    "QQ",
     "PolyT",
     "rank_kernel",
     "graded_limit",
@@ -260,8 +257,13 @@ def rank_kernel(rows: Sequence[Sequence], ncols: int
 
 def _solve(a_rows: Sequence[Sequence[Fraction]],
            b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve the square system A x = b; ValueError when A is singular."""
+    """Solve the square system A x = b.
+
+    ValueError when A is not square or singular, or b has the wrong length.
+    """
     n = len(a_rows)
+    _check_shape(a_rows, n, "coefficient rows")
+    _check_shape([b], n, "right-hand side entries")
     aug = [_primitive(list(row) + [_rat(b[i])])
            for i, row in enumerate(a_rows)]
     rank, pivots = _rref(aug)

@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import ZeroPoint
-from .exactcore import QQ
 
 __all__ = [
     "Ambient",

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import ZeroLeadingCoefficient
-from .exactcore import int_rank_profile
+from .exactcore import _primitive, int_rank_profile
 from .geometry import (DiagonalOnePS, ProjectivePoint, WeightedCycle,
                        collision_clusters)
 
@@ -117,15 +117,6 @@ class FatPointSpec:
                    for _, a in self.cycle.points)
 
 
-def _point_int_data(p: ProjectivePoint) -> tuple[int, list[int], int]:
-    """Pivot index, integer numerators of affine coords, common denominator."""
-    piv = p.pivot_index
-    affine = [p.coords[j] for j in range(len(p.coords)) if j != piv]
-    den = math.lcm(*(u.denominator for u in affine))
-    nums = [int(u * den) for u in affine]
-    return piv, nums, den
-
-
 def _int_jet_rows(p: ProjectivePoint, order: int,
                   basis: MonomialBasis) -> list[list[int]]:
     """Jet rows at p, scaled by den**degree so every entry is an integer.
@@ -136,7 +127,11 @@ def _int_jet_rows(p: ProjectivePoint, order: int,
     x^e is den**(e_piv + |beta|) * prod_j T_j[e_j][beta_j], where
     T_j[e][b] = e (e-1) ... (e-b+1) * num_j**(e-b), and 0 for b > e.
     """
-    piv, nums, den = _point_int_data(p)
+    # the pivot coordinate is 1, so the primitive vector has content 1: it
+    # holds den at the pivot and the numerators num_j elsewhere
+    piv = p.pivot_index
+    nums = _primitive(p.coords)
+    den = nums.pop(piv)
     d = basis.degree
     tables = []
     for v in nums:

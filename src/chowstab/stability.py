@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -41,12 +41,17 @@ STRICTLY_SEMISTABLE = "strictly_semistable"
 UNSTABLE = "unstable"
 
 
+def _scaled_weight(weights: Sequence[int], support: Iterable[int]) -> int:
+    """(n+1) times the Mumford weight: (n+1) min(w_i, i in support) - sum(w)."""
+    return len(weights) * min(weights[i] for i in support) - sum(weights)
+
+
 def mumford_weight(x: ProjectivePoint, alpha: DiagonalOnePS) -> Fraction:
     """min of the traceless weights over the nonzero coordinates of x."""
-    if len(alpha.weights) != len(x.coords):
+    w = alpha.weights
+    if len(w) != len(x.coords):
         raise ValueError("weight vector length does not match the point")
-    wbar = alpha.normalized()
-    return min(wbar[i] for i in x.support())
+    return Fraction(_scaled_weight(w, x.support()), len(w))
 
 
 def chow_weight(cycle: WeightedCycle, alpha: DiagonalOnePS,
@@ -241,20 +246,17 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
     if independent != k + 1:
         raise VerificationFailed(
             f"{independent} independent spanning points for dimension {k}")
-    weights = tuple([n - k] * (k + 1) + [-(k + 1)] * (n - k))
-    ops = DiagonalOnePS(weights)
-    total = Fraction(0)
+    ops = DiagonalOnePS(tuple([n - k] * (k + 1) + [-(k + 1)] * (n - k)))
+    scaled = 0
     mass_on_v = 0
-    weight_of: dict[int, Fraction] = {}
     for (_, m), mask in zip(cycle.points, masks):
         # a point's weight depends only on its support in the basis
-        if mask not in weight_of:
-            bits = [mask >> i & 1 for i in range(n + 1)]
-            weight_of[mask] = mumford_weight(ProjectivePoint(bits), ops)
-        total += m * weight_of[mask]
+        bits = [i for i in range(n + 1) if mask >> i & 1]
+        scaled += m * _scaled_weight(ops.weights, bits)
         # p lies in V exactly when it needs no completing basis vector
         if mask >> (k + 1) == 0:
             mass_on_v += m
+    total = Fraction(scaled, n + 1)
     closed_form = Fraction((n + 1) * mass_on_v
                            - cycle.total_mass() * (k + 1))
     if total != closed_form:
@@ -358,12 +360,13 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     basis itself.  Ties keep the lexicographically smallest weight vector,
     then the earliest basis.  This is the reference oracle for classify.
 
-    Scoring goes by support mask: a point's weight under w is
-    (n+1) min(w_i, i in its mask) - sum(w), so a frame is its mass per
-    mask and its scores are a product with a table of mask weights, built
-    per block of weight vectors.  The table and the product are int64
-    when no score can reach 2^62 and exact Python ints otherwise, so the
-    maximum and its tie-break are exact.
+    Scoring goes by support mask: n+1 times a point's weight under w is
+    `_scaled_weight(w, mask)`, (n+1) min(w_i, i in its mask) - sum(w).  So
+    a frame is its mass per mask, and its scores are a product with a
+    table of mask weights: `_scaled_weight` vectorised over a block of
+    weight vectors.  The table and the product are int64 when no score
+    can reach 2^62 and exact Python ints otherwise, so the maximum and its
+    tie-break are exact.
     """
     if not cycle.ambient.is_projective:
         raise ValueError("search needs a projective ambient")

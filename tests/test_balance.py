@@ -1,9 +1,13 @@
 """Tests for the numerical balancing flow and its exact side conditions."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix, Rational
 
 from chowstab import Ambient, ZeroPoint, normalize_cycle
 from chowstab.balance import (DIVERGENCE_NORM, BalanceCycle, balance_flow,
@@ -227,3 +231,28 @@ class TestCheckNoCommonZero:
         prod = normalize_cycle(Ambient.product(1, 1), [([1, 0, 1, 0], 1)])
         with pytest.raises(ValueError):
             check_no_common_zero(prod)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_sympy_stabilizer_rank(self, data):
+        # independent form of the same test: A fixes [p] exactly when
+        # (A p)_j p_l = (A p)_l p_j for all j < l, and the solutions A must
+        # be the multiples of the identity alone
+        n = data.draw(st.integers(1, 3))
+        entry = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=5))
+        coords = st.lists(entry, min_size=n + 1, max_size=n + 1).filter(any)
+        points = data.draw(st.lists(coords, max_size=n + 3))
+        cycle = normalize_cycle(Ambient.projective(n),
+                                [(c, 1) for c in points])
+        dim = n + 1
+        rows = []
+        for p, _ in cycle.points:
+            x = [Rational(c.numerator, c.denominator) for c in p.coords]
+            for j, l in itertools.combinations(range(dim), 2):
+                row = [0] * (dim * dim)
+                for k in range(dim):
+                    row[j * dim + k] += x[k] * x[l]
+                    row[l * dim + k] -= x[k] * x[j]
+                rows.append(row)
+        rank = Matrix(rows).rank() if rows else 0
+        assert check_no_common_zero(cycle) == (dim * dim - rank == 1)

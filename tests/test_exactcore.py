@@ -443,6 +443,18 @@ class TestSolve:
             with pytest.raises(ValueError):
                 _solve(a, b)
 
+    def test_non_square_matrix_raises(self):
+        with pytest.raises(ValueError, match="coefficient rows"):
+            _solve([[F(1), F(2)]], [F(1)])
+
+    def test_short_right_hand_side_raises(self):
+        with pytest.raises(ValueError, match="right-hand side"):
+            _solve([[F(1), F(0)], [F(0), F(1)]], [F(1)])
+
+    def test_long_right_hand_side_raises(self):
+        with pytest.raises(ValueError, match="right-hand side"):
+            _solve([[F(1), F(0)], [F(0), F(1)]], [F(1), F(2), F(3)])
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_fraction_reference(self, data):

@@ -77,6 +77,21 @@ class TestMumfordWeight:
             assert mumford_weight(p, DiagonalOnePS(w)) == mumford_weight(
                 p, DiagonalOnePS(tuple(wi + c for wi in w)))
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_min_of_traceless_weights(self, data):
+        n = data.draw(st.integers(1, 4))
+        weights = data.draw(st.one_of(
+            st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1),
+            st.integers(-5, 5).map(lambda c: [c] * (n + 1))))
+        coords = data.draw(st.lists(
+            st.sampled_from([0, 0, 1, -1, 2, Fraction(-2, 3)]),
+            min_size=n + 1, max_size=n + 1).filter(any))
+        p, alpha = ProjectivePoint(coords), DiagonalOnePS(tuple(weights))
+        got = mumford_weight(p, alpha)
+        assert got == min(alpha.normalized()[i] for i in p.support())
+        assert type(got) is Fraction
+
 
 class TestChowWeight:
     def test_collinear_hand_value(self):
@@ -373,7 +388,7 @@ class TestDestabilizer:
 
     def test_broken_identity_raises_under_optimize(self):
         # python -O strips assert statements; the adapted weight identity
-        # must still raise when mumford_weight is broken
+        # must still raise when the per-point weight is broken
         script = """
             from chowstab import stability
             from chowstab.errors import VerificationFailed
@@ -381,7 +396,7 @@ class TestDestabilizer:
             heavy = normalize_cycle(Ambient.projective(2), [
                 ([1, 0, 0], 2), ([0, 1, 0], 1), ([0, 0, 1], 1)])
             sub = stability.Subspace([heavy.support()[0]])
-            stability.mumford_weight = lambda x, alpha: 0
+            stability._scaled_weight = lambda weights, support: 0
             try:
                 stability.destabilizer_from_subspace(heavy, sub)
             except VerificationFailed:
