@@ -13,10 +13,9 @@ coordinates.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,118 +39,112 @@ SPAN_THRESHOLD = 1e-8
 _MIN_STEP = 1e-15
 
 
-def _as_complex_point(coords: Sequence) -> np.ndarray:
-    """A homogeneous coordinate list as a complex vector.
+def _finite(x, what: str) -> float:
+    """x as a float, refusing a value outside double range or not finite."""
+    try:
+        f = float(x)
+    except OverflowError:
+        raise ValueError(f"{what} {x!r} is out of double range") from None
+    if not math.isfinite(f):
+        raise ValueError(f"{what} {x!r} is not finite")
+    return f
 
-    Entries may be numbers (int, float, Fraction) or [re, im] pairs.
+
+def _entry(c) -> complex:
+    """One coordinate, a number (int, float, Fraction) or an [re, im] pair."""
+    if not isinstance(c, (list, tuple)):
+        return complex(_finite(c, "coordinate"))
+    if len(c) != 2:
+        raise ValueError(f"complex entry {c!r} is not a [re, im] pair")
+    return complex(_finite(c[0], "coordinate"), _finite(c[1], "coordinate"))
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """The rows of v scaled to unit length.
+
+    Each row is first multiplied by the power of two that brings its
+    largest real or imaginary part into [1, 2), or as close as a float
+    factor allows.  That scaling is exact, so each unit row has the bits
+    it would have without it, while no squared norm can overflow or
+    underflow.
     """
-    out = []
-    for c in coords:
-        if isinstance(c, (list, tuple)):
-            if len(c) != 2:
-                raise ValueError(f"complex entry {c!r} is not a [re, im] pair")
-            out.append(complex(float(c[0]), float(c[1])))
-        else:
-            out.append(complex(float(c), 0.0))
-    v = np.asarray(out, dtype=complex)
-    if v.ndim != 1 or not np.any(v != 0):
+    top = np.maximum(abs(v.real), abs(v.imag)).max(axis=1)
+    if not top.all():
         raise ZeroPoint("zero vector is not a projective point")
-    return v
+    v = v * np.ldexp(1.0, np.minimum(1 - np.frexp(top)[1], 1023))[:, None]
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _moment_sum(u: np.ndarray, m) -> np.ndarray:
+    """Sum of m_i (u_i u_i* - I/dim) over the unit rows u_i."""
+    dim = u.shape[1]
+    return (u.T * m) @ u.conj() - np.sum(m) / dim * np.eye(dim)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class BalanceCycle:
-    """Complex points with their Chow masses, ready for the flow."""
+    """Complex points, one (N, n+1) read-only array, with their Chow masses.
 
-    points: tuple[np.ndarray, ...]
+    Build it with from_raw or from_weighted, which check the input.
+    """
+
+    points: np.ndarray
     masses: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.points) != len(self.masses):
-            raise ValueError("points and masses differ in length")
-        if not self.points:
-            raise ValueError("empty configuration")
-        dim = len(self.points[0])
-        if any(len(p) != dim for p in self.points):
-            raise ValueError("points of unequal dimension")
-        if any(m <= 0 for m in self.masses):
-            raise ValueError("masses must be positive")
 
     @property
     def n(self) -> int:
-        return len(self.points[0]) - 1
+        return self.points.shape[1] - 1
 
     @classmethod
     def from_raw(cls, coords_list: Sequence[Sequence],
                  masses: Sequence[float]) -> "BalanceCycle":
-        pts = tuple(_as_complex_point(c) for c in coords_list)
-        return cls(pts, tuple(float(m) for m in masses))
+        """Rows of numbers or [re, im] pairs, with finite positive masses."""
+        rows = [[_entry(c) for c in coords] for coords in coords_list]
+        if len(rows) != len(masses):
+            raise ValueError("points and masses differ in length")
+        if not rows:
+            raise ValueError("empty configuration")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("points of unequal dimension")
+        weights = tuple(_finite(m, "mass") for m in masses)
+        if any(m <= 0 for m in weights):
+            raise ValueError("masses must be positive")
+        points = np.array(rows, dtype=complex)
+        if not points.any(axis=1).all():
+            raise ZeroPoint("zero vector is not a projective point")
+        return cls(_read_only(points), weights)
 
     @classmethod
     def from_weighted(cls, cycle: WeightedCycle) -> "BalanceCycle":
         """Chow masses a_i^(n-1) attached to the support of a cycle."""
         chow = chow_multiplicities(cycle)
-        pts = tuple(np.asarray([complex(c) for c in p.coords])
-                    for p, _ in chow.points)
-        masses = tuple(float(a) for _, a in chow.points)
-        return cls(pts, masses)
-
-
-def _scaled(v: np.ndarray) -> np.ndarray:
-    """v times the power of two that brings its largest real or imaginary
-    part into [1, 2), or as close as a float factor allows.
-
-    The scaling is exact, so v/|v| and v v*/|v|^2 keep their bits, while
-    |v|^2 can no longer overflow or underflow.
-    """
-    top = max(abs(x) for z in v.tolist() for x in (z.real, z.imag))
-    return v * math.ldexp(1.0, min(1 - math.frexp(top)[1], 1023))
-
-
-@functools.cache
-def _scalar_part(dim: int) -> np.ndarray:
-    """I/dim, built once per dimension and shared read-only."""
-    part = np.eye(dim) / dim
-    part.setflags(write=False)
-    return part
-
-
-def _moment(v: np.ndarray) -> np.ndarray:
-    norm2 = float(np.vdot(v, v).real)
-    if norm2 == 0.0:
-        raise ZeroPoint("zero vector is not a projective point")
-    return np.outer(v, v.conj()) / norm2 - _scalar_part(len(v))
+        return cls.from_raw([p.coords for p, _ in chow.points],
+                            [a for _, a in chow.points])
 
 
 def moment_map(p) -> np.ndarray:
     """Fubini-Study moment map p p*/|p|^2 - I/(n+1), Hermitian traceless."""
-    return _moment(_scaled(p if isinstance(p, np.ndarray)
-                           else _as_complex_point(p)))
+    row = p if isinstance(p, np.ndarray) else [_entry(c) for c in p]
+    return _moment_sum(_unit_rows(np.asarray(row, dtype=complex)[None]), 1.0)
 
 
-def total_moment(cycle: BalanceCycle,
-                 points: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
-    """Mass-weighted moment sum, optionally at substituted point positions.
-
-    The cycle's own points are scaled as in moment_map; substituted points
-    (the flow's unit vectors) are taken as given, to save the flow time.
-    """
-    pts = map(_scaled, cycle.points) if points is None else points
-    dim = cycle.n + 1
-    acc = np.zeros((dim, dim), dtype=complex)
-    for p, m in zip(pts, cycle.masses):
-        acc += m * _moment(p)
-    return acc
+def total_moment(cycle: BalanceCycle) -> np.ndarray:
+    """Mass-weighted moment sum of the cycle's points."""
+    return _moment_sum(_unit_rows(cycle.points), cycle.masses)
 
 
 def _residual(moment: np.ndarray) -> float:
     return float(np.linalg.norm(moment, "fro"))
 
 
-def balance_residual(cycle: BalanceCycle,
-                     points: Optional[Sequence[np.ndarray]] = None) -> float:
+def balance_residual(cycle: BalanceCycle) -> float:
     """Frobenius norm of the mass-weighted moment sum; zero iff balanced."""
-    return _residual(total_moment(cycle, points))
+    return _residual(total_moment(cycle))
 
 
 def _expm_hermitian(h: np.ndarray) -> np.ndarray:
@@ -168,7 +161,7 @@ class FlowReport:
     group_element_norm: float
     iterations: int
     group_element: np.ndarray
-    points: tuple[np.ndarray, ...]
+    points: np.ndarray              # (N, n+1) unit rows, read-only
     final_step: float
     stalled: bool = False
 
@@ -189,15 +182,16 @@ def balance_flow(cycle: BalanceCycle, step: float = 0.5,
     underflow with no progress) is reported as max_iter with the stalled
     flag set.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    base = tuple(v / np.linalg.norm(v) for v in map(_scaled, cycle.points))
-    dim = len(base[0])
-    g = np.eye(dim, dtype=complex)
-    cur = base
-    m = total_moment(cycle, cur)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must not be negative, got {max_iter!r}")
+    mass = np.asarray(cycle.masses)
+    base = cur = _read_only(_unit_rows(cycle.points))
+    g = np.eye(cycle.n + 1, dtype=complex)
+    m = _moment_sum(cur, mass)
     residual = _residual(m)
     if residual < tol:
         return FlowReport("converged", residual, float(np.linalg.norm(g)),
@@ -210,9 +204,9 @@ def balance_flow(cycle: BalanceCycle, step: float = 0.5,
         improved = False
         while step > _MIN_STEP:
             cand_g = _expm_hermitian(-step * m) @ g
-            cand = tuple(v / np.linalg.norm(v)
-                         for v in (cand_g @ p for p in base))
-            cand_m = total_moment(cycle, cand)
+            cand = base @ cand_g.T
+            cand /= np.linalg.norm(cand, axis=1)[:, None]
+            cand_m = _moment_sum(cand, mass)
             r = _residual(cand_m)
             if r <= residual + slack * max(residual, 1.0):
                 improved = True
@@ -231,32 +225,27 @@ def balance_flow(cycle: BalanceCycle, step: float = 0.5,
             status = "diverged"
             break
     return FlowReport(status, residual, float(np.linalg.norm(g)),
-                      iterations, g, cur, step, stalled)
-
-
-def _hermitian_to_real(h: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix (diagonal, then off-diagonal)."""
-    dim = h.shape[0]
-    parts = [h.diagonal().real]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            parts.append([h[i, j].real, h[i, j].imag])
-    return np.concatenate([np.atleast_1d(np.asarray(p)) for p in parts])
+                      iterations, g, _read_only(cur), step, stalled)
 
 
 def check_spanning(cycle: BalanceCycle) -> bool:
     """Do the moment images span the traceless Hermitian space?
 
-    Numerical rank via singular values with a relative threshold; the
-    target dimension is (n+1)^2 - 1.
+    Each point's moment map enters as one real row: its diagonal, then the
+    (re, im) pairs above the diagonal in row-major order.  Numerical rank
+    via singular values with a relative threshold; the target dimension is
+    (n+1)^2 - 1.
     """
-    rows = np.stack([_hermitian_to_real(moment_map(p))
-                     for p in cycle.points])
+    u = _unit_rows(cycle.points)
+    dim = cycle.n + 1
+    i, j = np.triu_indices(dim, 1)
+    off = u[:, i] * u[:, j].conj()
+    pairs = np.stack([off.real, off.imag], axis=2).reshape(len(u), -1)
+    rows = np.hstack([(u * u.conj()).real - 1 / dim, pairs])
     sv = np.linalg.svd(rows, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    if sv[0] == 0.0:
         return False
     rank = int(np.sum(sv > SPAN_THRESHOLD * sv[0]))
-    dim = cycle.n + 1
     return rank == dim * dim - 1
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from sympy import Matrix, Rational
 
 from chowstab import Ambient, ZeroPoint, normalize_cycle
-from chowstab.balance import (DIVERGENCE_NORM, BalanceCycle, balance_flow,
-                              balance_residual, check_no_common_zero,
-                              check_spanning, moment_map, total_moment)
+from chowstab.balance import (DIVERGENCE_NORM, SPAN_THRESHOLD, BalanceCycle,
+                              balance_flow, balance_residual,
+                              check_no_common_zero, check_spanning,
+                              moment_map, total_moment)
 
 P1 = Ambient.projective(1)
 P2 = Ambient.projective(2)
@@ -39,6 +41,33 @@ CORPUS = [
     ("p2_single_point", [[1, 0, 0]], [1], "diverged"),
     ("p1_skew_masses", [[1, 1], [1, -1]], [1, 2], "diverged"),
 ]
+
+
+SPAN_CASES = [c[1] for c in CORPUS] + [
+    [[1, 0], [0, 1], [1, 1], [1, [0, 1]]], [[1, 0]], [[1, 0], [0, 1]],
+    [[1, 1], [2, 2]]]
+
+
+def _spanning_reference(cyc):
+    """check_spanning rebuilt from one moment_map per point."""
+    dim = cyc.n + 1
+    rows = []
+    for p in cyc.points:
+        h = moment_map(p)
+        row = [h[i, i].real for i in range(dim)]
+        for i, j in itertools.combinations(range(dim), 2):
+            row += [h[i, j].real, h[i, j].imag]
+        rows.append(row)
+    sv = np.linalg.svd(np.array(rows), compute_uv=False)
+    return bool(sv[0] > 0
+                and np.sum(sv > SPAN_THRESHOLD * sv[0]) == dim * dim - 1)
+
+
+def _complex_coords(n):
+    """A nonzero complex point of P^n as [re, im] pairs of small integers."""
+    entry = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(list)
+    return st.lists(entry, min_size=n + 1, max_size=n + 1).filter(
+        lambda c: any(re or im for re, im in c))
 
 
 def _random_unit_vector(rng, dim):
@@ -96,11 +125,25 @@ class TestResidual:
         cyc = BalanceCycle.from_raw([[1, 0]], [2])
         assert balance_residual(cyc) == pytest.approx(math.sqrt(2))
 
-    def test_total_moment_accepts_substitute_points(self):
-        cyc = BalanceCycle.from_raw([[1, 0], [0, 1]], [1, 1])
-        moved = (np.array([1 + 0j, 1 + 0j]), np.array([0j, 1 + 0j]))
-        m = total_moment(cyc, moved)
-        assert np.linalg.norm(m) > 0.1
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_total_moment_is_the_weighted_sum_and_equivariant(self, data):
+        n = data.draw(st.integers(1, 4))
+        coords = data.draw(st.lists(_complex_coords(n), min_size=1,
+                                    max_size=2 * n + 4))
+        masses = data.draw(st.lists(st.floats(0.1, 5.0), min_size=len(coords),
+                                    max_size=len(coords)))
+        cyc = BalanceCycle.from_raw(coords, masses)
+        m = total_moment(cyc)
+        weighted = sum(a * moment_map(p) for p, a in zip(cyc.points, masses))
+        np.testing.assert_allclose(m, weighted, rtol=0, atol=1e-12)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((n + 1, n + 1))
+                            + 1j * rng.standard_normal((n + 1, n + 1)))
+        moved = [[[z.real, z.imag] for z in q @ p] for p in cyc.points]
+        np.testing.assert_allclose(
+            total_moment(BalanceCycle.from_raw(moved, masses)),
+            q @ m @ q.conj().T, rtol=0, atol=1e-12)
 
 
 class TestBalanceCycle:
@@ -128,6 +171,37 @@ class TestBalanceCycle:
             BalanceCycle.from_raw([[0, 0]], [1])
         with pytest.raises(ValueError):
             BalanceCycle.from_raw([[[1, 2, 3], 0]], [1])
+
+    def test_non_finite_masses_refused(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mass"):
+                BalanceCycle.from_raw([[1, 0], [0, 1], [1, 1]], [bad, 1, 1])
+
+    def test_non_finite_coordinates_refused(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for coords in ([bad, 1], [[1, bad], 1]):
+                with pytest.raises(ValueError, match="not finite"):
+                    BalanceCycle.from_raw([[1, 0], coords], [1, 1])
+
+    def test_values_out_of_float_range_refused(self):
+        with pytest.raises(ValueError, match="out of double range"):
+            BalanceCycle.from_raw([[10 ** 400, 1]], [1])
+        with pytest.raises(ValueError, match="out of double range"):
+            BalanceCycle.from_raw([[1, 0]], [10 ** 400])
+
+    def test_weighted_cycle_out_of_float_range_refused(self):
+        cyc = normalize_cycle(P1, [([1, Fraction(10 ** 400, 3)], 1),
+                                   ([0, 1], 1)])
+        with pytest.raises(ValueError, match="out of double range"):
+            BalanceCycle.from_weighted(cyc)
+
+    def test_points_are_one_read_only_array(self):
+        cyc = BalanceCycle.from_raw([[1, 0], [0, 1], [1, [0, 1]]], [1, 1, 1])
+        assert cyc.points.shape == (3, 2) and cyc.points.dtype == complex
+        with pytest.raises(ValueError):
+            cyc.points[0, 0] = 2
+        rep = balance_flow(cyc)
+        assert rep.points.shape == (3, 2) and not rep.points.flags.writeable
 
 
 class TestBalanceFlow:
@@ -183,8 +257,9 @@ class TestBalanceFlow:
 
     def test_step_validation(self):
         cyc = BalanceCycle.from_raw([[1, 0]], [1])
-        with pytest.raises(ValueError):
-            balance_flow(cyc, step=0.0)
+        for step in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step"):
+                balance_flow(cyc, step=step)
 
     def test_tolerance_validation(self):
         # the flow stops only on residual < tol, so these would never stop
@@ -192,6 +267,9 @@ class TestBalanceFlow:
         for tol in (0.0, -1e-9, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol"):
                 balance_flow(cyc, tol=tol)
+        # and a negative iteration cap would silently report no work
+        with pytest.raises(ValueError, match="max_iter"):
+            balance_flow(cyc, max_iter=-5)
 
 
 class TestCheckSpanning:
@@ -206,6 +284,32 @@ class TestCheckSpanning:
             BalanceCycle.from_raw([[1, 0], [0, 1]], [1, 1]))
         assert not check_spanning(
             BalanceCycle.from_raw([[1, 1], [2, 2]], [1, 1]))
+
+    @pytest.mark.parametrize("coords", SPAN_CASES)
+    def test_matches_moment_map_rows_on_fixed_cases(self, coords):
+        cyc = BalanceCycle.from_raw(coords, [1] * len(coords))
+        assert check_spanning(cyc) == _spanning_reference(cyc)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_moment_map_rows_on_random_cases(self, data):
+        # unless k = n + 1, every point lies in the span of k generators,
+        # a projective subspace, so the images cannot span
+        n = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(1, n + 1))
+        gens = data.draw(st.lists(_complex_coords(n), min_size=k, max_size=k))
+        combos = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+        coords = []
+        for c in data.draw(st.lists(combos, min_size=1,
+                                    max_size=(n + 1) ** 2 + 2)):
+            pt = [[sum(a * g[j][t] for a, g in zip(c, gens)) for t in (0, 1)]
+                  for j in range(n + 1)]
+            if any(re or im for re, im in pt):
+                coords.append(pt)
+        if not coords:
+            return
+        cyc = BalanceCycle.from_raw(coords, [1] * len(coords))
+        assert check_spanning(cyc) == _spanning_reference(cyc)
 
 
 class TestCheckNoCommonZero:
