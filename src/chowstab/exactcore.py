@@ -293,8 +293,8 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
     """Rank and pivot columns of an integer matrix, certified exact.
 
     The pivot columns are the lexicographically first independent ones,
-    the same as in the reduced row echelon form over Q.  `rows` is left
-    unchanged.
+    the same as in the reduced row echelon form over Q.  `rows` holds
+    Python ints, as lists or as an object array, and is left unchanged.
 
     Each prime p of PRIMES gives a profile by Gauss-Jordan elimination mod
     p.  A pivot minor that is nonzero mod p is nonzero over Z, so every
@@ -334,7 +334,6 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
             x = ech[:len(pivots), pending]
             del ech
             x = x.astype(np.int32)
-            x[np.array(pivots, dtype=np.intp)[:, None] > pending] = 0
             primes.append(p)
             blocks.append(x)
             ok = np.concatenate([
@@ -350,19 +349,14 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
 
 def _int_array(rows: Sequence[Sequence[int]], ncols: int
                ) -> tuple[np.ndarray, int]:
-    """The matrix as an int64 array when every entry is below 2^62 in
-    absolute value, else as an object array of Python ints; and the largest
-    absolute entry."""
-    try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        a = None
-    if a is None or (a.size and (a.min() <= -_WIDE or a.max() >= _WIDE)):
-        a = np.array(rows, dtype=object)
+    """The matrix as an object array of Python ints, narrowed to int64 when
+    every entry is below 2^62 in absolute value; and the largest absolute
+    entry."""
+    a = np.asarray(rows, dtype=object)
     if a.shape != (len(rows), ncols):
         raise ValueError(f"rows do not form a {len(rows)} x {ncols} matrix")
-    top = max(abs(int(a.max())), abs(int(a.min()))) if a.size else 0
-    return a, top
+    top = max(a.max(), -a.min()) if a.size else 0
+    return (a.astype(np.int64) if top < _WIDE else a), top
 
 
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
@@ -564,7 +558,8 @@ def graded_limit(rows: Sequence[Sequence[int]], weights: Sequence[int],
     ncols = len(weights)
     order = sorted(range(ncols), key=lambda j: (weights[j], j))
     sorted_w = [weights[j] for j in order]
-    sorted_rows = [[row[j] for j in order] for row in rows]
+    a = np.asarray(rows, dtype=object).reshape(len(rows), ncols)
+    sorted_rows = a[:, order]
     if want_basis:
         rank, kernel = rank_kernel(sorted_rows, ncols)
         free = [max(j for j, x in enumerate(v) if x) for v in kernel]

@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ZeroLeadingCoefficient
 from .exactcore import _primitive, int_rank_profile
 from .geometry import (DiagonalOnePS, ProjectivePoint, WeightedCycle,
@@ -118,7 +120,7 @@ class FatPointSpec:
 
 
 def _int_jet_rows(p: ProjectivePoint, order: int,
-                  basis: MonomialBasis) -> list[list[int]]:
+                  basis: MonomialBasis) -> np.ndarray:
     """Jet rows at p, scaled by den**degree so every entry is an integer.
 
     Row for the functional d^beta/du^beta (|beta| < order), evaluated on
@@ -126,6 +128,8 @@ def _int_jet_rows(p: ProjectivePoint, order: int,
     coordinate of p is set to 1.  With u_j = num_j / den, the entry for
     x^e is den**(e_piv + |beta|) * prod_j T_j[e_j][beta_j], where
     T_j[e][b] = e (e-1) ... (e-b+1) * num_j**(e-b), and 0 for b > e.
+    The block is that product taken over all (beta, e) at once: an object
+    array of Python ints, one row per beta in graded order.
     """
     # the pivot coordinate is 1, so the primitive vector has content 1: it
     # holds den at the pivot and the numerators num_j elsewhere
@@ -133,43 +137,32 @@ def _int_jet_rows(p: ProjectivePoint, order: int,
     nums = _primitive(p.coords)
     den = nums.pop(piv)
     d = basis.degree
-    tables = []
-    for v in nums:
-        # T[e][0] = v**e and T[e][b] = e * T[e-1][b-1]
+    exps = np.array(basis.exponents, dtype=np.intp)
+    betas = np.array([b for o in range(order) for b in _exponents(basis.n, o)],
+                     dtype=np.intp).reshape(-1, basis.n)
+    den_pow = np.array([den ** k for k in range(d + order)], dtype=object)
+    rows = den_pow[exps[:, piv] + betas.sum(axis=1)[:, None]]
+    for v, e, b in zip(nums, np.delete(exps, piv, axis=1).T, betas.T):
+        # T[k][0] = v**k and T[k][b] = k * T[k-1][b-1]
         t = [[1] + [0] * (order - 1)]
-        for e in range(1, d + 1):
-            t.append([t[-1][0] * v] + [e * x for x in t[-1][:-1]])
-        tables.append(t)
-    den_pow = [den ** k for k in range(d + 1)]
-    cols = [(e[piv], [t[ej] for t, ej in zip(tables, e[:piv] + e[piv + 1:])])
-            for e in basis.exponents]
-    rows = []
-    for o in range(order):
-        for beta in _exponents(basis.n, o):
-            row = []
-            for e_piv, factors in cols:
-                c = 1
-                for f, b in zip(factors, beta):
-                    c *= f[b]
-                    if not c:
-                        break
-                row.append(c * den_pow[e_piv + o] if c else 0)
-            rows.append(row)
+        for k in range(1, d + 1):
+            t.append([t[-1][0] * v] + [k * x for x in t[-1][:-1]])
+        rows *= np.array(t, dtype=object)[e, b[:, None]]
     return rows
 
 
-def jet_vanishing_matrix(spec: FatPointSpec) -> list[list[int]]:
+def jet_vanishing_matrix(spec: FatPointSpec) -> np.ndarray:
     """The jet condition matrix, in integers; its kernel is the section space.
 
-    Rows run over support points in cycle order and derivative functionals
-    in graded order; columns over the degree-d monomial basis.  The rows of
-    a point with affine denominator den are scaled by den**d.
+    An object array of Python ints.  Rows run over support points in cycle
+    order and derivative functionals in graded order; columns over the
+    degree-d monomial basis.  The rows of a point with affine denominator
+    den are scaled by den**d.
     """
     basis = MonomialBasis(spec.cycle.ambient.n, spec.degree)
-    rows: list[list[int]] = []
-    for p, a in spec.cycle.points:
-        rows.extend(_int_jet_rows(p, spec.r * a, basis))
-    return rows
+    return np.concatenate(
+        [np.zeros((0, len(basis)), dtype=object)]
+        + [_int_jet_rows(p, spec.r * a, basis) for p, a in spec.cycle.points])
 
 
 def h0_with_vanishing(spec: FatPointSpec) -> int:

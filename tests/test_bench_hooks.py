@@ -10,8 +10,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from chowstab import (Ambient, DiagonalOnePS, central_fibre_sections, classify,
-                      exhaustive_ops_search, normalize_cycle)
+import pytest
+
+from chowstab import (Ambient, DiagonalOnePS, FatPointSpec,
+                      central_fibre_sections, classify, exhaustive_ops_search,
+                      normalize_cycle, testconfig)
+from chowstab.hilbert import jet_vanishing_matrix
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -67,3 +71,33 @@ def test_exact_elimination_is_traced(monkeypatch):
         installed.remove()
     assert classify(collinear).is_unstable
     assert all(counted.values()), counted
+
+
+P2_POINTS = {
+    "small": [([1, 0, 0], 1), ([0, 1, 0], 2), ([1, 1, 1], 1)],
+    # numerators near 2^40 put the degree-4 entries far past 2^62
+    "wide": [([1, 0, 0], 1), ([3, 2 ** 40 + 1, -(2 ** 39) - 5], 1),
+             ([7, 2 ** 38, 2 ** 41 + 3], 1)],
+}
+
+
+@pytest.mark.parametrize("points", sorted(P2_POINTS))
+def test_jet_layer_is_traced(monkeypatch, points):
+    # the jet matrix is an object array: the hooks must count its rows, and
+    # the rank profile's bit counter (int.bit_length) needs Python ints
+    tracing = _tracing(monkeypatch)
+    cycle = normalize_cycle(Ambient.projective(2), P2_POINTS[points])
+    alpha = DiagonalOnePS((1, 0, -1))
+    spec = FatPointSpec(cycle, 4, 1)
+    tracer = tracing.Tracer(enabled=True)
+    installed = tracing.Installed(tracer)
+    try:
+        assert installed.absent == []
+        testconfig._central_summary(cycle, alpha, spec.degree, spec.r)
+    finally:
+        installed.remove()
+    rows = jet_vanishing_matrix(spec).tolist()
+    bits = max(abs(x).bit_length() for row in rows for x in row)
+    assert (bits > 62) == (points == "wide")
+    assert tracer.counters["hilbert.jet_rows.rows"] == spec.expected_rows
+    assert tracer.counters["exactcore.rank_profile.max_bits_in"] == bits

@@ -242,6 +242,19 @@ class TestIntRankProfile:
             """
         assert run_optimized(script) == "(2, [0, 1])"
 
+    def test_pivot_rows_are_zero_before_their_pivots(self):
+        # the kernel blocks of int_rank_profile read RREF entries at the
+        # earlier pivots only because every later pivot row is zero there
+        rng = np.random.default_rng(2024)
+        for p in (PRIMES[0], 7):
+            for _ in range(40):
+                nr, nc = rng.integers(1, 9, size=2)
+                m = rng.integers(0, p, size=(nr, nc), dtype=np.int64)
+                m[rng.random((nr, nc)) < 0.5] = 0
+                pivots = _rref_mod(m, p)
+                for i, c in enumerate(pivots):
+                    assert not m[i, :c].any() and m[i, c] == 1
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             int_rank_profile([[1, 2], [3]], 2)

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix, Rational, diff, interpolate, symbols
 
 from chowstab import (Ambient, CentralPrediction, DiagonalOnePS,
@@ -20,7 +22,8 @@ from chowstab import (Ambient, CentralPrediction, DiagonalOnePS,
                       level_weight, lifting_shift, line_weight,
                       mumford_weight, normalize_cycle,
                       predicted_central_coeffs, section_trace)
-from chowstab.hilbert import jet_vanishing_matrix
+from chowstab.hilbert import _int_jet_rows, jet_vanishing_matrix
+from jet_reference import reference_jet_matrix, reference_jet_rows
 
 P1 = Ambient.projective(1)
 P2 = Ambient.projective(2)
@@ -171,7 +174,7 @@ class TestH0WithVanishing:
             r = rng.randint(1, 2)
             spec = FatPointSpec(cyc, d, r=r)
             rows = _sympy_jet_rows(cyc, d, r=r)
-            assert jet_vanishing_matrix(spec) == rows
+            assert jet_vanishing_matrix(spec).tolist() == rows
             rank = Matrix(rows).rank() if rows else 0
             assert h0_with_vanishing(spec) == math.comb(n + d, n) - rank
             seen.add(n)
@@ -218,6 +221,78 @@ class TestJetVanishingMatrix:
         assert spec.expected_rows == (fat_point_length(2, 4)
                                       + fat_point_length(2, 2))
         assert len(jet_vanishing_matrix(spec)) == spec.expected_rows
+
+
+# the per-cell reference visits every cell in Python: keep each block small
+_CELL_BUDGET = 40_000
+
+
+def _max_order(n, d):
+    """The largest order up to d+2 whose jet block fits the cell budget."""
+    ncols = math.comb(n + d, n)
+    return max(o for o in range(1, d + 3)
+               if ncols * math.comb(n + o - 1, n) <= _CELL_BUDGET)
+
+
+def _coordinates(n):
+    """Zeros, small integers, and numerators up to 2^40 over denominators."""
+    entry = st.one_of(
+        st.just(0), st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40),
+                  st.integers(1, 2 ** 20)))
+    return st.lists(entry, min_size=n + 1, max_size=n + 1).filter(any)
+
+
+def _assert_exact_block(m, ref, ncols):
+    assert m.dtype == object and m.shape == (len(ref), ncols)
+    assert m.tolist() == ref
+    assert all(type(x) is int for x in m.flat)
+
+
+class TestJetArray:
+    """The broadcast jet builder against the per-cell reference, past the
+    degrees that the sympy oracle reaches and past int64 entries."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_block_matches_cell_reference(self, data):
+        n = data.draw(st.integers(1, 3))
+        d = data.draw(st.integers(0, 16))
+        order = data.draw(st.integers(1, _max_order(n, d)))
+        p = ProjectivePoint(data.draw(_coordinates(n)))
+        basis = MonomialBasis(n, d)
+        ref = reference_jet_rows(p, order, basis)
+        _assert_exact_block(_int_jet_rows(p, order, basis), ref, len(basis))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matrix_matches_cell_reference(self, data):
+        n = data.draw(st.integers(1, 3))
+        d = data.draw(st.integers(0, 16))
+        r = data.draw(st.integers(1, 2))
+        top = max(1, _max_order(n, d) // r)
+        points = data.draw(st.lists(
+            st.tuples(_coordinates(n), st.integers(1, top)), max_size=3))
+        spec = FatPointSpec(normalize_cycle(Ambient.projective(n), points),
+                            d, r=r)
+        _assert_exact_block(jet_vanishing_matrix(spec),
+                            reference_jet_matrix(spec),
+                            math.comb(n + d, n))
+
+    def test_entries_past_int64(self):
+        # large numerators over a denominator, at high degree and order
+        p = ProjectivePoint([3, 2 ** 40 + 1, -(2 ** 39) - 5])
+        basis = MonomialBasis(2, 16)
+        m = _int_jet_rows(p, 4, basis)
+        assert max(abs(x) for x in m.flat) >= 2 ** 62
+        _assert_exact_block(m, reference_jet_rows(p, 4, basis), len(basis))
+
+    def test_empty_cycle_shape(self):
+        for n, d in [(1, 0), (2, 3), (3, 5)]:
+            m = jet_vanishing_matrix(
+                FatPointSpec(normalize_cycle(Ambient.projective(n), []), d))
+            assert m.dtype == object
+            assert m.shape == (0, math.comb(n + d, n))
 
 
 class TestSectionTrace:
