@@ -10,6 +10,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -143,38 +146,101 @@ class RatioRecord:
         return self.ratio == self.threshold
 
 
-def _int_span(vectors: Sequence[Sequence[int]]
-              ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Rank and canonical integer RREF rows of the span of `vectors`.
+@cache
+def _wedge_terms(ncoords: int, k: int) -> tuple:
+    """Index table of the maps w -> (v -> w ^ v) for k-wedges on Q^ncoords.
 
-    The rows name the span exactly as `Subspace.rref` does, and there are
-    rank of them, so spans of different dimensions never share a key.
+    A k-wedge has one entry per k-subset of the coordinates, in
+    lexicographic order.  For each (k+1)-subset T the table lists the
+    terms (t, i, s) of the cofactor expansion (w ^ v)_T = sum s * w_i * v_t:
+    t runs over T, i is the index of T - {t} among the k-subsets and
+    s = (-1)^(k + position of t in T).
     """
-    rows = [list(v) for v in vectors]
-    rank, _ = _rref(rows)
-    return rank, tuple(map(tuple, rows[:rank]))
+    index = {sub: i for i, sub in
+             enumerate(itertools.combinations(range(ncoords), k))}
+    return tuple(tuple((t, index[T[:j] + T[j + 1:]], (-1) ** (k + j))
+                       for j, t in enumerate(T))
+                 for T in itertools.combinations(range(ncoords), k + 1))
 
 
-def _independent_subsets(points: Sequence, max_size: int, span):
-    """Yield (indices, span(subset)) for every independent subset of points.
+def _wedge_map(key: tuple[int, tuple[int, ...]], ncoords: int):
+    """v -> key of the span of a flat and v, for the flat's key (k, w).
 
-    `span` eliminates a candidate subset once and returns a tuple whose
-    first entry is the subset's rank; the subset is independent when that
-    rank is its size.  The points are what `span` takes: integer vectors
-    for `_int_span` and `_int_frame`.  Subsets come by size, then in
+    The key of a rank-k flat is k and the primitive wedge w of its
+    spanning vectors, made positive at its first nonzero entry, so two
+    spans share a key exactly when they are equal.  The map v -> w ^ v is
+    built once, as C(ncoords, k+1) integer rows; each v then costs that
+    many dot products, one gcd and one sign fix.  Returns None for v in
+    the flat, where w ^ v = 0.
+    """
+    k, w = key
+    rows = []
+    for terms in _wedge_terms(ncoords, k):
+        row = [0] * ncoords
+        for t, i, s in terms:
+            row[t] = s * w[i]
+        rows.append(row)
+
+    def grow(v):
+        x = [sum(map(mul, row, v)) for row in rows]
+        g = gcd(*x)
+        if g == 0:
+            return None
+        if next(filter(None, x)) < 0:
+            g = -g
+        return k + 1, (tuple(x) if g == 1 else tuple([e // g for e in x]))
+    return grow
+
+
+def _flat_keys(vectors: Sequence[Sequence[int]], max_size: int):
+    """Yield (indices, wedge key) for every independent subset of vectors.
+
+    Subsets come as `_independent_subsets` gives them, each keyed by
+    `_wedge_map`'s (k, w).  The wedges are taken in the pivot coordinates
+    of the vectors' span: the span's RREF basis has a unit matrix there,
+    so reading those coordinates maps the span isomorphically onto
+    Q^rank, and its subspaces keep their ranks and their equalities.  A
+    wedge then has C(rank, k) entries, not C(n+1, k): few points in a
+    large ambient space stay cheap.
+    """
+    rank, pivots = _rref([list(v) for v in vectors])
+    coords = [[v[c] for c in pivots] for v in vectors]
+    # the empty subset spans {0}: rank 0, and its wedge is the number 1
+    return _independent_subsets(coords, max_size,
+                                lambda key: _wedge_map(key, rank), (0, (1,)))
+
+
+def _independent_subsets(points: Sequence, max_size: int, extend, root):
+    """Yield (indices, state) for every independent subset of points.
+
+    Subsets have at most max_size points and come by size, then in
     lexicographic index order; each one extends an independent subset
     that is one point smaller, so a span first shows up with a minimal
-    spanning subset.
+    spanning subset.  A subset's state describes its span, and `root` is
+    the empty subset's.  `extend(state)` runs once for each subset that
+    grows and returns `grow`: it takes one later point and returns the
+    grown subset's state, or None when the point lies in the span.  So
+    work shared by a subset's children is done once.
+
+    For `classify` (`_flat_keys`) the state is the flat's wedge key
+    (k, w): `extend` builds the map v -> w ^ v (`_wedge_map`) and each
+    child is one wedge step.  For the search the state is the subset's
+    vectors and frame, and each child is one `_int_frame`.
     """
-    layer: list[tuple[int, ...]] = [()]
+    layer = [((), root)]
     for size in range(1, min(len(points), max_size) + 1):
         grown = []
-        for idx in layer:
-            for j in range(idx[-1] + 1 if idx else 0, len(points)):
-                child = idx + (j,)
-                found = span([points[i] for i in child])
-                if found[0] == size:
-                    grown.append(child)
+        for idx, state in layer:
+            start = idx[-1] + 1 if idx else 0
+            if start == len(points):
+                continue
+            grow = extend(state)
+            for j in range(start, len(points)):
+                found = grow(points[j])
+                if found is not None:
+                    child = idx + (j,)
+                    if size < max_size:
+                        grown.append((child, found))
                     yield child, found
         layer = grown
 
@@ -291,6 +357,17 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
     dimension, then the lexicographically earliest spanning subset.
     witness_ratios collects the subspaces sitting exactly on the boundary
     ratio, which separate the stable and strictly semistable outcomes.
+
+    The scan eliminates no candidate subset.  It keys each rank-k flat by
+    (k, w), where w is the wedge v_1 ^ ... ^ v_k of its spanning points'
+    primitive vectors, divided by its content and made positive at its
+    first nonzero entry.  A subset is independent exactly when its wedge
+    is nonzero, and two subsets span the same flat exactly when their
+    keys are equal.  A child's wedge is its parent's wedged with one more
+    vector (`_wedge_map`).  Wedges are taken in the coordinates of the
+    support's span (`_flat_keys`), so for a support of rank r each has
+    C(r, k) exact integers.  Only the boundary and certified flats become
+    a `Subspace`, whose rank must be k.
     """
     if not cycle.ambient.is_projective:
         raise ValueError("subspace scan needs a projective ambient")
@@ -301,22 +378,26 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
 
     def record(idx, mass, rank):
         v = Subspace([support[i] for i in idx])
+        # the Subspace eliminates what the scan wedged: same rank or a bug
+        if v.dim + 1 != rank:
+            raise VerificationFailed(
+                f"Subspace of rank {v.dim + 1} for a flat of wedge rank "
+                f"{rank}")
         return RatioRecord(v, mass, total, Fraction(mass, rank), threshold)
 
-    # flats are keyed by their integer RREF rows; each support point of a
-    # flat lies in one of its spanning subsets, and the flat keeps its
-    # first, minimal spanning subset
+    # flats are keyed by (rank, normalised primitive wedge); each support
+    # point of a flat lies in one of its spanning subsets, and the flat
+    # keeps its first, minimal spanning subset
     flats: dict = {}
     ints = [_primitive(p.coords) for p in support]
-    for idx, (_, key) in _independent_subsets(ints, n, _int_span):
+    for idx, key in _flat_keys(ints, n):
         flats.setdefault(key, (idx, set()))[1].update(idx)
     boundary = []
     best = None  # (idx, mass, rank) of the running maximal violator
     # scan order is (dim, spanning idx), so the first maximal ratio wins;
     # mass/rank against total/(n+1) and the best ratio, cross-multiplied
-    for key, (idx, members) in flats.items():
+    for (rank, _), (idx, members) in flats.items():
         mass = sum(cycle.points[i][1] for i in members)
-        rank = len(key)
         side = (n + 1) * mass - total * rank
         if side == 0:
             boundary.append(record(idx, mass, rank))
@@ -379,8 +460,13 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     ints = [tuple(_primitive(p.coords)) for p in support]
     units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
 
-    def frame(vectors):
-        return _int_frame(vectors, ints, n)
+    def extend(state):
+        def grow(v):
+            vectors = state[0] + (v,)
+            independent, pivots, masks = _int_frame(vectors, ints, n)
+            return ((vectors, pivots, masks) if independent == len(vectors)
+                    else None)
+        return grow
 
     # each distinct basis keeps its first spanning index set, the standard
     # frame (no support points) first; a frame's independent count decides
@@ -388,9 +474,9 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     # basis is keyed by its vectors as primitive integer tuples, which are
     # equal exactly when the canonical Fraction coordinates are.
     frames: dict = {}
-    subsets = _independent_subsets(ints, n + 1, frame)
-    for idx, (_, pivots, masks) in itertools.chain([((), frame([]))],
-                                                   subsets):
+    root = ((), *_int_frame([], ints, n)[1:])
+    subsets = _independent_subsets(ints, n + 1, extend, root)
+    for idx, (_, pivots, masks) in itertools.chain([((), root)], subsets):
         m = len(idx)
         key = tuple(ints[idx[c]] if c < m else units[c - m] for c in pivots)
         frames.setdefault(key, (idx, pivots, masks))

@@ -14,9 +14,9 @@ from chowstab.geometry import DiagonalOnePS, ProjectivePoint
 from chowstab.stability import (STABLE, STRICTLY_SEMISTABLE, UNSTABLE,
                                 Destabilizer, InstabilityCertificate,
                                 RatioRecord, StabilityVerdict, Subspace,
-                                _independent_subsets, mumford_weight)
+                                mumford_weight)
 from exact_reference import fraction_rref
-from search_reference import _adapted_frame
+from search_reference import _adapted_frame, reference_subsets
 
 
 def _fraction_span(points):
@@ -44,7 +44,7 @@ def reference_classify(cycle):
     total = cycle.total_mass()
     threshold = Fraction(total, n + 1)
     flats = {}
-    for idx, (_, rref) in _independent_subsets(support, n, _fraction_span):
+    for idx, (_, rref) in reference_subsets(support, n, _fraction_span):
         flats.setdefault(rref, (idx, set()))[1].update(idx)
     boundary = []
     best = None

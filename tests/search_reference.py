@@ -11,8 +11,24 @@ import itertools
 from fractions import Fraction
 
 from chowstab.errors import VerificationFailed
-from chowstab.stability import SearchResult, _independent_subsets
+from chowstab.stability import SearchResult
 from exact_reference import fraction_rref
+
+
+def reference_subsets(points, max_size, span):
+    """Yield (indices, span(subset)) for every independent subset.
+
+    Subsets of at most max_size points come from itertools.combinations
+    by size, each kept when the Fraction rank, the first entry of what
+    `span` returns, equals its size.  Every subset of an independent set
+    is independent, so this is the order in which stability grows
+    independent subsets one point at a time.
+    """
+    for size in range(1, min(len(points), max_size) + 1):
+        for idx in itertools.combinations(range(len(points)), size):
+            found = span([points[i] for i in idx])
+            if found[0] == size:
+                yield idx, found
 
 
 def _adapted_frame(vectors, points, n):
@@ -47,7 +63,7 @@ def reference_search(cycle, bound):
         return _adapted_frame([p.coords for p in points], support, n)
 
     frames = {}
-    subsets = _independent_subsets(support, n + 1, frame)
+    subsets = reference_subsets(support, n + 1, frame)
     for idx, (_, basis, coords) in itertools.chain([((), frame([]))],
                                                    subsets):
         frames.setdefault(basis, (idx, coords))

@@ -18,10 +18,11 @@ from chowstab import (Ambient, DiagonalOnePS, ProjectivePoint, Subspace,
                       SubspaceNotSpannedBySupport, chow_weight, classify,
                       destabilizer_from_subspace, exhaustive_ops_search,
                       mumford_weight, normalize_cycle)
-from classify_reference import reference_classify
+from classify_reference import _fraction_span, reference_classify
 from exact_reference import fraction_rref
 from optimized import run_optimized
-from search_reference import _adapted_frame, reference_search
+from search_reference import (_adapted_frame, reference_search,
+                              reference_subsets)
 
 P1 = Ambient.projective(1)
 P2 = Ambient.projective(2)
@@ -279,6 +280,27 @@ class TestClassify:
             """
         assert run_optimized(script) == "raised"
 
+    def test_subspace_disagreeing_with_wedge_raises_under_optimize(self):
+        # an elimination that loses a pivot gives the certified point a
+        # Subspace of rank 0; the scan's wedge says rank 1
+        script = """
+            from chowstab import stability
+            from chowstab.errors import VerificationFailed
+            from chowstab.geometry import Ambient, normalize_cycle
+            heavy = normalize_cycle(Ambient.projective(2), [
+                ([1, 0, 0], 2), ([0, 1, 0], 1), ([0, 0, 1], 1)])
+            real = stability._rref
+            def lossy(rows):
+                rank, pivots = real(rows)
+                return rank - 1, pivots[:-1]
+            stability._rref = lossy
+            try:
+                stability.classify(heavy)
+            except VerificationFailed as exc:
+                print("wedge rank" in str(exc))
+            """
+        assert run_optimized(script) == "True"
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_reference_loop(self, data):
@@ -504,15 +526,15 @@ class TestAdaptedFrame:
         return calls
 
     @staticmethod
-    def _candidates(eliminations, cycle, max_size):
-        """Candidate subsets of the scan, one integer elimination each."""
-        ints = [stability._primitive(p.coords) for p in cycle.support()]
-        eliminations.clear()
-        list(stability._independent_subsets(ints, max_size,
-                                            stability._int_span))
-        count = len(eliminations)
-        eliminations.clear()
-        return count
+    def _candidates(cycle, max_size):
+        """Candidate subsets of the scan: every independent subset of fewer
+        than max_size points, the empty one too, grown by each later point.
+        The independent subsets come from the reference enumeration."""
+        support = cycle.support()
+        parents = [()] + [idx for idx, _ in reference_subsets(
+            support, max_size - 1, _fraction_span)]
+        return sum(len(support) - (idx[-1] + 1 if idx else 0)
+                   for idx in parents)
 
     def test_destabilizer_eliminates_once(self, eliminations):
         for cycle in (HEAVY, COLLINEAR):
@@ -526,20 +548,23 @@ class TestAdaptedFrame:
         # standard vectors to complete it
         for cycle in (COLLINEAR, HEAVY):
             n = cycle.ambient.n
-            candidates = self._candidates(eliminations, cycle, n + 1)
+            candidates = self._candidates(cycle, n + 1)
             exhaustive_ops_search(cycle, 1)
             assert len(eliminations) == candidates + 1
+            eliminations.clear()
 
     def test_classify_scan_eliminates_over_the_integers(self, eliminations):
-        # one elimination per candidate subset and one per boundary flat's
-        # Subspace; for an unstable cycle one more for the certified
-        # Subspace and one for its destabilizer's frame
+        # the wedge scan eliminates no candidate subset: one elimination for
+        # the support's span, one per boundary flat's Subspace and, for an
+        # unstable cycle, one for the certified Subspace and one for its
+        # destabilizer's frame
         for cycle in (FOUR_GENERAL, TRIANGLE, COLLINEAR, HEAVY):
-            candidates = self._candidates(eliminations, cycle, cycle.ambient.n)
             verdict = classify(cycle)
             records = len(verdict.witness_ratios)
-            assert len(eliminations) == candidates + (
+            assert eliminations[0] == len(cycle.support())
+            assert len(eliminations) == 1 + (
                 records + 2 if verdict.is_unstable else records)
+            eliminations.clear()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
@@ -577,6 +602,55 @@ class TestAdaptedFrame:
                     for j in range(n + 1)] == list(p.coords)
             solved = oracle.LUsolve(Matrix([Rational(x) for x in p.coords]))
             assert mask == sum(1 << i for i, x in enumerate(solved) if x != 0)
+
+
+@st.composite
+def _planted_supports(draw):
+    """(n, up to 9 coordinate lists on P^n), n in 1..4.
+
+    Coordinates come from a small set of rationals.  After the first
+    points, some are planted on the line through two earlier points or on
+    the plane through three, and some repeat a direction, so that many
+    subsets share a flat or are dependent.
+    """
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                             Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+    coords = st.lists(entry, min_size=n + 1, max_size=n + 1).filter(any)
+    points = draw(st.lists(coords, min_size=1, max_size=6))
+    scale = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                             Fraction(1, 3)])
+    for _ in range(draw(st.integers(0, 9 - len(points)))):
+        picks = draw(st.lists(st.integers(0, len(points) - 1),
+                              min_size=1, max_size=3))
+        factors = draw(st.lists(scale, min_size=len(picks),
+                                max_size=len(picks)))
+        planted = [sum(f * points[i][j] for f, i in zip(factors, picks))
+                   for j in range(n + 1)]
+        if any(planted):
+            points.append(planted)
+    return n, points
+
+
+class TestWedgeScan:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_planted_supports(), st.data())
+    def test_matches_fraction_rref_scan(self, support, data):
+        # classify's scan (subsets of at most n points) and one size more
+        n, points = support
+        max_size = data.draw(st.sampled_from([n, n + 1]))
+        got = list(stability._flat_keys(
+            [stability._primitive(c) for c in points], max_size))
+        want = list(reference_subsets([ProjectivePoint(c) for c in points],
+                                      max_size, _fraction_span))
+        assert [(idx, k) for idx, (k, _) in got] == \
+            [(idx, rank) for idx, (rank, _) in want]
+        # two yields share a wedge key exactly when they share a Fraction
+        # RREF key: the pairing of the keys is a bijection
+        wedges = [key for _, key in got]
+        rrefs = [rows for _, (_, rows) in want]
+        assert len(set(wedges)) == len(set(zip(wedges, rrefs))) == \
+            len(set(rrefs))
 
 
 _SMALL_COORD = st.integers(-2, 2)
