@@ -16,6 +16,15 @@ products hold is an integer below 2^53, which float64 represents exactly;
 the results are converted back to int64 residues.  Matrices are dense,
 which is all the rest of the package needs (a few thousand columns at
 most).
+
+Before that elimination, `int_rank_profile` pins unit rows.  A row with
+exactly one nonzero entry, at column c, makes c a pivot in every column
+order, since no other column is nonzero in that row; and it forces the
+coefficient of c to 0 in every column relation.  So the row and column c
+leave together: the rank is the number of pinned columns plus the rank of
+what is left, and the pivots are the pinned columns together with the
+pivots of what is left.  Every jet row at a coordinate point is a unit
+row, so those points never reach the elimination mod p.
 """
 
 from __future__ import annotations
@@ -296,6 +305,16 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
     the same as in the reduced row echelon form over Q.  `rows` holds
     Python ints, as lists or as an object array, and is left unchanged.
 
+    Unit rows leave first.  A row with exactly one nonzero entry, at column
+    c, makes c a pivot in every column order: no other column is nonzero
+    in that row, so c is not in the span of the others.  The same row
+    forces the coefficient of c to 0 in every column relation, so the
+    relations of A are those of A', the matrix without the unit rows and
+    without the pinned columns C.  Hence rank(A) = |C| + rank(A'), and
+    the pivots of A are C together with the pivots of A' at their own
+    columns.  Duplicate unit rows at one column pin it once; zero rows are
+    not unit rows.  Only A' is eliminated and certified.
+
     Each prime p of PRIMES gives a profile by Gauss-Jordan elimination mod
     p.  A pivot minor that is nonzero mod p is nonzero over Z, so every
     prefix rank mod p is a lower bound for the prefix rank over Q.  The
@@ -307,15 +326,32 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
     over Q exceeds the one mod p.  A reconstruction or check that fails
     adds the next prime; a prime whose profile some prefix rank shows to be
     smaller is unlucky and dropped.  When PRIMES runs out, `_rref` over Z
-    decides, on a copy of the rows.
+    decides, on a copy of A'.
     """
-    nrows = len(rows)
-    if not nrows or not ncols:
+    if not len(rows) or not ncols:
         return 0, []
     a, top = _int_array(rows, ncols)
+    nz = a != 0
+    unit = np.count_nonzero(nz, axis=1) == 1
+    pinned = nz[unit].any(axis=0)
     # zero columns are free and need no certificate
-    live = np.flatnonzero(a.any(axis=0))
-    a = a[:, live]
+    live = np.flatnonzero(nz[~unit].any(axis=0) & ~pinned)
+    del nz
+    a = a[np.ix_(~unit, live)]
+    if unit.any() and a.size:
+        # the certificate bounds A' w by the entries that stay
+        top = max(int(a.max()), -int(a.min()))
+    piv = _certified_pivots(a, top) if a.size else []
+    if piv is None:
+        piv = _rref(a.tolist())[1]
+    pivots = sorted(np.flatnonzero(pinned).tolist() + live[piv].tolist())
+    return len(pivots), pivots
+
+
+def _certified_pivots(a: np.ndarray, top: int) -> Optional[list[int]]:
+    """The certified pivot columns of a matrix with no zero column and
+    largest absolute entry top, or None when PRIMES runs out."""
+    nrows, ncols = a.shape
     pivots = None
     for p in PRIMES:
         ech = _residues(a, p)
@@ -324,8 +360,8 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
             if pivots is not None and not _dominates(piv, pivots):
                 continue
             pivots, primes, blocks = piv, [], []
-            end = piv[-1] if len(piv) == nrows else live.size
-            free = np.ones(live.size, dtype=bool)
+            end = piv[-1] if len(piv) == nrows else ncols
+            free = np.ones(ncols, dtype=bool)
             free[piv] = False
             pending = np.flatnonzero(free[:end])
         if pending.size:
@@ -343,8 +379,8 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
             pending = pending[~ok]
             blocks = [b[:, ~ok] for b in blocks]
         if not pending.size:
-            return len(pivots), live[pivots].tolist()
-    return _rref([list(row) for row in rows])
+            return pivots
+    return None
 
 
 def _int_array(rows: Sequence[Sequence[int]], ncols: int

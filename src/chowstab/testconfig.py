@@ -20,8 +20,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import PolynomialityFailed, RankDrop, VerificationFailed
-from .exactcore import (PolyT, _solve, graded_limit, int_rank_profile,
-                        interpolate_poly, poly_eval, rank_kernel)
+from .exactcore import (PolyT, _primitive, _solve, graded_limit,
+                        int_rank_profile, interpolate_poly, poly_eval,
+                        rank_kernel)
 from .geometry import (DiagonalOnePS, ProjectivePoint, WeightedCycle,
                        chow_multiplicities, collision_clusters, normalize_cycle)
 from .hilbert import (ExpansionCoeffs, FatPointSpec, MonomialBasis,
@@ -205,16 +206,21 @@ def central_fibre_cycle(cycle: WeightedCycle, alpha: DiagonalOnePS,
         orders: dict[ProjectivePoint, int] = {}
         if fibre.dim:
             basis = MonomialBasis(n, d)
+            # a vector vanishes on a row exactly when its primitive
+            # multiple does, so the probe is an integer sum over the
+            # nonzero entries
+            vecs = [[(j, x) for j, x in enumerate(_primitive(v)) if x]
+                    for v in fibre.basis]
             for q in clusters:
                 # rows of jet order o sit between the order-o and
                 # order-(o+1) fat point lengths
-                rows = _int_jet_rows(q, d + 1, basis)
+                rows = _int_jet_rows(q, d + 1, basis).tolist()
                 o = 0
                 while o <= d and all(
-                        sum(a * b for a, b in zip(row, v)) == 0
+                        sum(row[j] * x for j, x in v) == 0
                         for row in rows[fat_point_length(n, o):
                                         fat_point_length(n, o + 1)]
-                        for v in fibre.basis):
+                        for v in vecs):
                     o += 1
                 orders[q] = o
         reports.append(DegreeReport(d, fibre.dim, orders))

@@ -5,12 +5,17 @@ limit_subspace takes its flat limit by elimination over Q[t], and the
 graded dimensions are the ranks of the limit's projections onto the
 weight blocks of the monomial basis.  The limit is weight-homogeneous, so
 those block ranks must add up to its dimension.
+
+reference_vanishing_orders is the Fraction probe that central_fibre_cycle
+replaced by an integer test: every jet row against every limit basis
+vector, with Fraction sums over all entries.
 """
 
 from fractions import Fraction
 
 from chowstab.exactcore import limit_subspace
-from chowstab.hilbert import MonomialBasis
+from chowstab.geometry import collision_clusters
+from chowstab.hilbert import MonomialBasis, _int_jet_rows, fat_point_length
 from chowstab.testconfig import central_fibre_sections, moving_section_family
 from exact_reference import fraction_rref
 
@@ -51,3 +56,24 @@ def checked_fibre(cycle, alpha, gamma, r=1):
     assert fibre.dim == len(lim)
     assert span_equal(fibre.basis, lim)
     return fibre
+
+
+def reference_vanishing_orders(cycle, alpha, degree):
+    """(dim, {collision point: order}) of central_fibre_cycle at one probe
+    degree, by Fraction sums of every jet row against every basis vector."""
+    n = cycle.ambient.n
+    fibre = central_fibre_sections(cycle, alpha, degree)
+    orders = {}
+    if fibre.dim:
+        basis = MonomialBasis(n, degree)
+        for q in collision_clusters(cycle, alpha):
+            rows = _int_jet_rows(q, degree + 1, basis)
+            o = 0
+            while o <= degree and all(
+                    sum(a * b for a, b in zip(row, v)) == 0
+                    for row in rows[fat_point_length(n, o):
+                                    fat_point_length(n, o + 1)]
+                    for v in fibre.basis):
+                o += 1
+            orders[q] = o
+    return fibre.dim, orders

@@ -292,6 +292,36 @@ class TestIntRankProfile:
         rows = [[row[j] for j in order] for row in jets]
         _assert_profile_and_fallback(rows, len(w))
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_bareiss_with_planted_unit_rows(self, data):
+        # unit rows leave before the elimination: plant them at random
+        # columns, twice at one column, at columns the other rows use,
+        # among zero rows, as the whole matrix, and with wide entries
+        nc = data.draw(st.integers(1, 8))
+        nr = data.draw(st.integers(0, 6))
+        wide = st.builds(lambda x, s: s * x, st.integers(2 ** 62, 2 ** 70),
+                         st.sampled_from((1, -1)))
+        entry = data.draw(st.sampled_from((st.integers(-4, 4),
+                                           st.one_of(st.integers(-4, 4),
+                                                     wide))))
+        nonzero = entry.filter(bool)
+        rows = data.draw(_matrices(nr, nc, entry))
+        units = data.draw(st.lists(st.tuples(st.integers(0, nc - 1),
+                                             nonzero),
+                                   min_size=1, max_size=nc + 2))
+        if data.draw(st.booleans()):
+            units.append((units[0][0], data.draw(nonzero)))
+        if data.draw(st.booleans()):
+            for row in rows:
+                row[units[0][0]] = data.draw(nonzero)
+        for c, x in units:
+            rows.append([x if j == c else 0 for j in range(nc)])
+        rows += [[0] * nc] * data.draw(st.integers(0, 2))
+        rows = [row[:] for row in data.draw(st.permutations(rows))]
+        _assert_profile_and_fallback(rows, nc)
+        assert {c for c, _ in units} <= set(int_rank_profile(rows, nc)[1])
+
 
 def _assert_profile_and_fallback(rows, ncols):
     """The certified profile and its `_rref` fallback both give the

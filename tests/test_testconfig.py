@@ -19,9 +19,12 @@ from chowstab import (Ambient, ChowstabError, DiagonalOnePS, ExpansionCoeffs,
                       central_fibre_cycle, central_fibre_sections,
                       df_invariant, expansion_comparison, lifting_shift,
                       normalize_cycle)
+from chowstab import exactcore
 from chowstab.exactcore import PolyT, limit_subspace
+from chowstab.hilbert import fat_point_length
 from chowstab.testconfig import _central_summary, moving_section_family
-from fibre_reference import checked_fibre, span_equal
+from fibre_reference import (checked_fibre, reference_vanishing_orders,
+                             span_equal)
 
 P1 = Ambient.projective(1)
 P2 = Ambient.projective(2)
@@ -232,6 +235,23 @@ class TestCentralFibreCycle:
         assert rep.dim == 3
         assert rep.vanishing_orders == {p: 1 for p, _ in COLLINEAR.points}
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_orders_match_the_fraction_probe(self, data):
+        n = data.draw(st.sampled_from((2, 3)))
+        coords = st.lists(_COORD, min_size=n + 1, max_size=n + 1).filter(any)
+        points = data.draw(st.lists(st.tuples(coords, st.integers(1, 2)),
+                                    min_size=1, max_size=4))
+        weights = data.draw(st.lists(st.integers(-2, 2), min_size=n + 1,
+                                     max_size=n + 1))
+        degrees = data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                     max_size=3, unique=True))
+        cycle = normalize_cycle(Ambient.projective(n), points)
+        alpha = DiagonalOnePS(tuple(weights))
+        for rep in central_fibre_cycle(cycle, alpha, degrees):
+            assert (rep.dim, rep.vanishing_orders) == \
+                reference_vanishing_orders(cycle, alpha, rep.degree)
+
 
 class TestDFInvariant:
     def test_single_point_golden(self):
@@ -314,6 +334,38 @@ class TestDFInvariant:
     def test_default_r_samples(self):
         spec = TestConfigSpec(COLLINEAR, W112, 4)
         assert spec.r_samples == (2, 3, 4, 5, 6, 7)
+
+
+class TestUnitRowsLeaveTheElimination:
+    """At a coordinate point every jet row is a unit row, so its rows and
+    columns leave the certified rank profile before any residue matrix is
+    eliminated."""
+
+    W1111 = DiagonalOnePS((1, 1, -1, -1))
+    E = ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
+
+    def _eliminated_rows(self, monkeypatch, points):
+        seen = []
+
+        def spy(m, p):
+            seen.append(m.shape[0])
+            return rref_mod(m, p)
+
+        rref_mod = exactcore._rref_mod
+        monkeypatch.setattr(exactcore, "_rref_mod", spy)
+        cycle = normalize_cycle(P3, [(p, 1) for p in points])
+        df_invariant(TestConfigSpec(cycle, self.W1111, 2, range(1, 8)))
+        return seen
+
+    def test_coordinate_points_eliminate_nothing(self, monkeypatch):
+        assert self._eliminated_rows(monkeypatch, self.E) == []
+
+    def test_only_the_other_point_is_eliminated(self, monkeypatch):
+        seen = self._eliminated_rows(monkeypatch,
+                                     self.E[:3] + ([1, 1, 1, 1],))
+        # one point of mass 1 has fat_point_length(3, r) jet rows at r
+        want = [fat_point_length(3, r) for r in range(1, 8)]
+        assert sorted(set(seen)) == want
 
 
 class TestExpansionComparison:
