@@ -15,8 +15,6 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import SubspaceNotSpannedBySupport, VerificationFailed
 from .exactcore import _check_shape, _primitive, _rref
 from .geometry import (DiagonalOnePS, ProductPoint, ProjectivePoint,
@@ -422,8 +420,6 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
 # ---------------------------------------------------------------------------
 # brute-force oracle over bounded integer weights
 
-_SEARCH_BLOCK = 1024  # weight vectors scored per matmul; bounds the memory
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -441,13 +437,22 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     basis itself.  Ties keep the lexicographically smallest weight vector,
     then the earliest basis.  This is the reference oracle for classify.
 
-    Scoring goes by support mask: n+1 times a point's weight under w is
-    `_scaled_weight(w, mask)`, (n+1) min(w_i, i in its mask) - sum(w).  So
-    a frame is its mass per mask, and its scores are a product with a
-    table of mask weights: `_scaled_weight` vectorised over a block of
-    weight vectors.  The table and the product are int64 when no score
-    can reach 2^62 and exact Python ints otherwise, so the maximum and its
-    tie-break are exact.
+    Only the 2^(n+1) vectors B*s, s in {-1, 1}^(n+1), are scored, and the
+    answer is still the first maximum over the whole cube.  Within one
+    frame the score sum_p m_p((n+1) min(w_i, i in mask_p) - sum(w)) is
+    concave in w, and linear on each order cone w_s1 >= ... >= w_s(n+1).
+    Such a cone meets [-B, B]^(n+1) in a Kuhn simplex whose vertices are
+    B times sign vectors, so in each frame the maximizers form a polytope
+    with vertices among the B*s.  The lexicographically first point of a
+    polytope is a vertex.  So the first maximum in (weight vector, frame)
+    order is among the B*s, taken in `itertools.product((-1, 1))` order,
+    which is the same lexicographic order.
+
+    Scoring goes by support mask: each frame is its mass per mask.  For a
+    sign vector with +1 on the bits of `top`, min(s_i, i in mask) is +1
+    exactly when the mask has no bit outside `top`, so the score of B*s is
+    B((n+1) sum(+-m) - total*sum(s)), in exact Python ints.  At B = 0
+    every score is 0 and the first (vector, frame) wins, as in the cube.
     """
     if not cycle.ambient.is_projective:
         raise ValueError("search needs a projective ambient")
@@ -481,34 +486,25 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
         key = tuple(ints[idx[c]] if c < m else units[c - m] for c in pivots)
         frames.setdefault(key, (idx, pivots, masks))
 
-    mask_of = [masks for _, _, masks in frames.values()]
-    columns = {mask: j for j, mask in
-               enumerate(sorted({k for row in mask_of for k in row}))}
-    # |T| <= 2(n+1)B, so under this bound every score fits in int64; integer
-    # matmul wraps silently, so larger masses go to exact Python ints
-    fits = sum(masses) * 2 * (n + 1) * max(bound, 1) < 2 ** 62
-    dtype = np.int64 if fits else object
-    H = np.zeros((len(frames), len(columns)), dtype=dtype)
-    for f, row in enumerate(mask_of):
-        for mask, m in zip(row, masses):
-            H[f, columns[mask]] += m
-    bits = [[i for i in range(n + 1) if mask >> i & 1] for mask in columns]
+    tables = []
+    for _, _, masks in frames.values():
+        mass_of: dict = {}
+        for mask, m in zip(masks, masses):
+            mass_of[mask] = mass_of.get(mask, 0) + m
+        tables.append(tuple(mass_of.items()))
+    total = sum(masses)
 
     best = None
-    wvecs = itertools.product(range(-bound, bound + 1), repeat=n + 1)
-    while block := list(itertools.islice(wvecs, _SEARCH_BLOCK)):
-        W = np.array(block, dtype=np.int64)
-        # shaped explicitly: with no points there are no masks
-        T = np.array([(n + 1) * W[:, b].min(axis=1) for b in bits],
-                     dtype=np.int64).reshape(len(bits), len(block))
-        T -= W.sum(axis=1)
-        scores = H @ T.astype(dtype, copy=False)
-        # the first maximum in (wvec, frame order) wins; product order is
-        # lexicographic in wvec, so read the scores wvec-major
-        w, f = divmod(int(np.argmax(scores.T.ravel())), len(frames))
-        if best is None or scores[f, w] > best[0]:
-            best = (int(scores[f, w]), block[w], f)
-    score, wvec, f = best  # the product is never empty: bound >= 0
+    for signs in itertools.product((-1, 1), repeat=n + 1):
+        top = sum(1 << i for i, s in enumerate(signs) if s > 0)
+        shift = total * sum(signs)
+        for f, table in enumerate(tables):
+            up = sum(m if mask & ~top == 0 else -m for mask, m in table)
+            score = bound * ((n + 1) * up - shift)
+            if best is None or score > best[0]:
+                best = (score, signs, f)
+    score, signs, f = best  # there is always a frame: the standard one
     idx, pivots, _ = list(frames.values())[f]
     basis = _frame_basis([support[i].coords for i in idx], pivots, n)
-    return SearchResult(Fraction(score, n + 1), wvec, basis, idx)
+    return SearchResult(Fraction(score, n + 1),
+                        tuple(bound * s for s in signs), basis, idx)

@@ -6,6 +6,7 @@ the report back, so exit codes, stdout and stderr are all covered.
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,12 @@ HEAVY_P3_DOC = {
     "ambient": {"projective": 3},
     "points": [{"coords": [1, 1, 0, 0], "mult": 3}, {"coords": [1, 0, 1, 0]},
                {"coords": [0, 1, 1, 1]}],
+}
+FIVE_P4_DOC = {
+    "ambient": {"projective": 4},
+    "points": [{"coords": [1, 0, 0, 0, 0], "mult": 3},
+               {"coords": [1, 1, 0, 0, 0]}, {"coords": [0, 1, 2, 0, 0]},
+               {"coords": [1, 0, 1, 1, 0]}, {"coords": [0, 1, 0, 1, 1]}],
 }
 PRODUCT_DOC = {
     "ambient": {"product": [1, 1]},
@@ -182,6 +189,28 @@ class TestDestabilizeCommand:
         assert payload["basis"] == [["1", "0", "0"], ["0", "1", "0"],
                                     ["0", "0", "1"]]
         assert payload["basis_support_indices"] == []
+
+    def test_huge_bound(self, tmp_path, capsys):
+        # the maximizer is 10^30 times a sign vector; no range is built
+        code, payload, err = run_json(tmp_path, capsys, COLLINEAR_DOC,
+                                      ["destabilize", "--bound", str(10 ** 30)])
+        assert code == 0 and err == ""
+        assert payload["best_weight"] == "2000000000000000000000000000000"
+        assert payload["weights"] == [10 ** 30, 10 ** 30, -10 ** 30]
+
+    def test_bound_scales_the_answer_on_p4(self, tmp_path, capsys):
+        # five points on P^4: the cube [-10, 10]^5 has 21^5 weight vectors
+        _, unit, _ = run_json(tmp_path, capsys, FIVE_P4_DOC,
+                              ["destabilize", "--bound", "1"])
+        code, payload, _ = run_json(tmp_path, capsys, FIVE_P4_DOC,
+                                    ["destabilize", "--bound", "10"])
+        assert code == 0 and unit["positive"] is True
+        assert (Fraction(payload["best_weight"])
+                == 10 * Fraction(unit["best_weight"]))
+        assert payload["weights"] == [10 * w for w in unit["weights"]]
+        assert payload["basis"] == unit["basis"]
+        assert (payload["basis_support_indices"]
+                == unit["basis_support_indices"])
 
 
 class TestAdaptedFrameGoldens:

@@ -436,11 +436,11 @@ _HEAVY_MASS = st.one_of(st.integers(1, 3), st.integers(2 ** 62, 2 ** 66))
 
 
 @st.composite
-def _search_cycles(draw):
-    """P^n cycles, n in 1..4, with rational coordinates; up to n+2 points
-    on P^1 and P^2, and up to n+1 on P^3 and P^4 to bound the loop's time.
-    About half of them may carry masses of 2^62 and more."""
-    n = draw(st.integers(1, 4))
+def _search_cycles(draw, low=1, high=4):
+    """P^n cycles, n in low..high, with rational coordinates; up to n+2
+    points on P^1 and P^2, and up to n+1 on P^3 and P^4 to bound the loop's
+    time.  About half of them may carry masses of 2^62 and more."""
+    n = draw(st.integers(low, high))
     coords = st.lists(_SEARCH_COORD, min_size=n + 1,
                       max_size=n + 1).filter(any)
     mass = _HEAVY_MASS if draw(st.booleans()) else st.integers(1, 3)
@@ -500,14 +500,42 @@ class TestSearchOracle:
                 assert res.weight == 0 and res.weights == (-bound,) * (n + 1)
                 assert res.basis_points == ()
 
-    def test_matches_reference_loop_across_blocks(self, monkeypatch):
-        # ties between blocks keep the earlier block's weight vector
-        monkeypatch.setattr(stability, "_SEARCH_BLOCK", 5)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_reference_loop_up_to_bound_6(self, data):
+        cycle = data.draw(_search_cycles(1, 2))
+        bound = data.draw(st.integers(0, 6))
+        assert exhaustive_ops_search(cycle, bound) == reference_search(
+            cycle, bound)
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_reference_loop_on_p3_up_to_bound_6(self, data):
+        # the reference scans 13^4 weight vectors per frame at B = 6
+        cycle = data.draw(_search_cycles(3, 3))
+        bound = data.draw(st.integers(4, 6))
+        assert exhaustive_ops_search(cycle, bound) == reference_search(
+            cycle, bound)
+
+    def test_matches_reference_loop_on_fixed_cycles(self):
         rng = random.Random(1307)
         cycles = [COLLINEAR, HEAVY, TRIANGLE, FOUR_GENERAL] + [
             _random_cycle(rng, n, n + 2) for n in (1, 2, 3) for _ in range(3)]
         for cycle in cycles:
             assert exhaustive_ops_search(cycle, 2) == reference_search(cycle, 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_result_scales_with_the_bound(self, data):
+        # the maximizer is B times a sign vector, found in the same frame
+        cycle = data.draw(_search_cycles())
+        unit = exhaustive_ops_search(cycle, 1)
+        for bound in (*range(1, 7), 10 ** 30):
+            res = exhaustive_ops_search(cycle, bound)
+            assert res.weight == bound * unit.weight
+            assert res.weights == tuple(bound * w for w in unit.weights)
+            assert (res.basis, res.basis_points) == (unit.basis,
+                                                     unit.basis_points)
 
 
 class TestAdaptedFrame:
