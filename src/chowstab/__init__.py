@@ -14,11 +14,10 @@ from .exactcore import int_rank_profile, interpolate_poly, poly_eval
 from .geometry import (Ambient, DiagonalOnePS, ProductPoint, ProjectivePoint,
                        WeightedCycle, chow_multiplicities, collision_clusters,
                        limit_point, normalize_cycle, project_cycle)
-from .hilbert import (CentralPrediction, ExpansionCoeffs, FatPointSpec,
-                      MonomialBasis, base_coeffs, fat_point_length,
-                      futaki_from_coeffs, h0_with_vanishing, level_weight,
-                      lifting_shift, line_weight, predicted_central_coeffs,
-                      section_trace)
+from .hilbert import (ExpansionCoeffs, FatPointSpec, MonomialBasis,
+                      base_coeffs, fat_point_length, futaki_from_coeffs,
+                      h0_with_vanishing, level_weight, lifting_shift,
+                      line_weight, predicted_central_coeffs, section_trace)
 from .stability import (STABLE, STRICTLY_SEMISTABLE, UNSTABLE, Destabilizer,
                         InstabilityCertificate, RatioRecord, SearchResult,
                         StabilityVerdict, Subspace, chow_weight, classify,
@@ -40,9 +39,9 @@ __all__ = [
     "Ambient", "DiagonalOnePS", "ProductPoint", "ProjectivePoint",
     "WeightedCycle", "chow_multiplicities", "collision_clusters",
     "limit_point", "normalize_cycle", "project_cycle",
-    "CentralPrediction", "ExpansionCoeffs", "FatPointSpec", "MonomialBasis",
-    "base_coeffs", "fat_point_length", "futaki_from_coeffs",
-    "h0_with_vanishing", "level_weight", "lifting_shift", "line_weight",
+    "ExpansionCoeffs", "FatPointSpec", "MonomialBasis", "base_coeffs",
+    "fat_point_length", "futaki_from_coeffs", "h0_with_vanishing",
+    "level_weight", "lifting_shift", "line_weight",
     "predicted_central_coeffs", "section_trace",
     "STABLE", "STRICTLY_SEMISTABLE", "UNSTABLE", "Destabilizer",
     "InstabilityCertificate", "RatioRecord", "SearchResult",

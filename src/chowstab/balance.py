@@ -36,6 +36,7 @@ __all__ = [
 
 DIVERGENCE_NORM = 1e3
 SPAN_THRESHOLD = 1e-8
+FIRST_STEP = 0.5
 _MIN_STEP = 1e-15
 
 
@@ -166,29 +167,28 @@ class FlowReport:
     stalled: bool = False
 
 
-def balance_flow(cycle: BalanceCycle, step: float = 0.5,
-                 tol: float = 1e-9, max_iter: int = 100000) -> FlowReport:
+def balance_flow(cycle: BalanceCycle, tol: float = 1e-9,
+                 max_iter: int = 100000) -> FlowReport:
     """Deterministic moment descent g <- exp(-step * mu) g.
 
-    The step is halved whenever the candidate update would increase the
-    residual beyond rounding noise, so the accepted residual sequence is
-    non-increasing (the baseline is updated with min).  Plateau steps are
-    accepted: near an unattained infimum the residual flatlines in double
-    precision while the group element still drifts, and accepting the
-    drift lets the divergence test fire instead of stalling just under
-    it.  The run stops when the residual drops below tol (converged),
-    when the group element norm exceeds DIVERGENCE_NORM (diverged, the
-    Kempf-Ness infimum is not attained), or at max_iter.  A stall (step
-    underflow with no progress) is reported as max_iter with the stalled
-    flag set.
+    The step starts at FIRST_STEP and is halved whenever the candidate
+    update would increase the residual beyond rounding noise, so the
+    accepted residual sequence is non-increasing (the baseline is updated
+    with min).  Plateau steps are accepted: near an unattained infimum the
+    residual flatlines in double precision while the group element still
+    drifts, and accepting the drift lets the divergence test fire instead
+    of stalling just under it.  The run stops when the residual drops below
+    tol (converged), when the group element norm exceeds DIVERGENCE_NORM
+    (diverged, the Kempf-Ness infimum is not attained), or at max_iter.  A
+    stall (step underflow with no progress) is reported as max_iter with
+    the stalled flag set.
     """
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be finite and positive, got {step!r}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must not be negative, got {max_iter!r}")
     mass = np.asarray(cycle.masses)
+    step = FIRST_STEP
     base = cur = _read_only(_unit_rows(cycle.points))
     g = np.eye(cycle.n + 1, dtype=complex)
     m = _moment_sum(cur, mass)

@@ -140,11 +140,6 @@ def parse_weights(doc: dict, key: str,
     raw = doc.get(key)
     if raw is None:
         return None
-    if isinstance(raw, str):
-        try:
-            raw = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"unparsable weight vector: {exc}", key) from exc
     if not isinstance(raw, list):
         raise SchemaError("weights must be an integer array", key)
     ws = tuple(_integer(w, f"{key}[{i}]") for i, w in enumerate(raw))
@@ -336,13 +331,13 @@ def _cmd_chow_weight(doc, args) -> tuple[int, dict]:
 def _parse_range(text: str, flag: str) -> tuple[int, ...]:
     parts = text.split("..")
     if len(parts) != 2:
-        raise SchemaError(f"{flag} expects a..b", flag)
+        raise SchemaError("expects a..b", flag)
     try:
         a, b = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise SchemaError(f"{flag} expects integers", flag) from exc
+        raise SchemaError("expects integers", flag) from exc
     if b < a:
-        raise SchemaError(f"{flag}: empty range {text}", flag)
+        raise SchemaError(f"empty range {text}", flag)
     return tuple(range(a, b + 1))
 
 
@@ -522,7 +517,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc = _load_document(args.input)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:
         sys.stderr.write(f"error: cannot read input: {exc}\n")
         return 2
     handler = _HANDLERS[args.command]

@@ -7,9 +7,10 @@ of points is structural equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import ZeroPoint
 
@@ -31,30 +32,25 @@ __all__ = [
 class Ambient:
     """Either a single projective space or a product of exactly two."""
 
-    kind: str
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in ("projective", "product"):
-            raise ValueError(f"unknown ambient kind {self.kind!r}")
-        if self.kind == "projective" and len(self.dims) != 1:
-            raise ValueError("projective ambient takes a single dimension")
-        if self.kind == "product" and len(self.dims) != 2:
-            raise ValueError("product ambient takes exactly two factors")
+        if len(self.dims) not in (1, 2):
+            raise ValueError("an ambient has one or two factors")
         if any(d < 1 for d in self.dims):
             raise ValueError("factor dimensions must be at least 1")
 
     @classmethod
     def projective(cls, n: int) -> "Ambient":
-        return cls("projective", (n,))
+        return cls((n,))
 
     @classmethod
     def product(cls, n1: int, n2: int) -> "Ambient":
-        return cls("product", (n1, n2))
+        return cls((n1, n2))
 
     @property
     def is_projective(self) -> bool:
-        return self.kind == "projective"
+        return len(self.dims) == 1
 
     @property
     def n(self) -> int:
@@ -168,24 +164,12 @@ def _as_point(ambient: Ambient, coords) -> CyclePoint:
                 f"point has {pt.dim + 1} coordinates, ambient wants "
                 f"{ambient.n + 1}")
         return pt
-    if isinstance(coords, ProductPoint):
-        pair = coords.parts
-    elif (isinstance(coords, (tuple, list)) and len(coords) == 2
-          and isinstance(coords[0], (tuple, list, ProjectivePoint))):
-        pair = tuple(p if isinstance(p, ProjectivePoint) else ProjectivePoint(p)
-                     for p in coords)
-    else:
-        # flat list split by factor dimensions
-        n1, n2 = ambient.dims
-        coords = list(coords)
-        if len(coords) != n1 + n2 + 2:
-            raise ValueError("flat product coordinates have the wrong length")
-        pair = (ProjectivePoint(coords[:n1 + 1]),
-                ProjectivePoint(coords[n1 + 1:]))
-    for part, n in zip(pair, ambient.dims):
-        if part.dim != n:
-            raise ValueError("product factor has the wrong dimension")
-    return ProductPoint(*pair)
+    n1, n2 = ambient.dims
+    coords = list(coords)
+    if len(coords) != n1 + n2 + 2:
+        raise ValueError("flat product coordinates have the wrong length")
+    return ProductPoint(ProjectivePoint(coords[:n1 + 1]),
+                        ProjectivePoint(coords[n1 + 1:]))
 
 
 def normalize_cycle(ambient: Ambient, raw: Iterable[tuple]) -> WeightedCycle:
@@ -193,7 +177,7 @@ def normalize_cycle(ambient: Ambient, raw: Iterable[tuple]) -> WeightedCycle:
     acc: dict = {}
     order: list = []
     for coords, mult in raw:
-        mult = int(mult)
+        mult = operator.index(mult)
         if mult < 1:
             raise ValueError("multiplicities must be positive integers")
         pt = _as_point(ambient, coords)
@@ -217,7 +201,7 @@ class DiagonalOnePS:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        ws = tuple(int(w) for w in self.weights)
+        ws = tuple(operator.index(w) for w in self.weights)
         if not ws:
             raise ValueError("empty weight vector")
         object.__setattr__(self, "weights", ws)

@@ -26,7 +26,6 @@ __all__ = [
     "MonomialBasis",
     "FatPointSpec",
     "ExpansionCoeffs",
-    "CentralPrediction",
     "fat_point_length",
     "jet_vanishing_matrix",
     "h0_with_vanishing",
@@ -180,9 +179,15 @@ def section_trace(alpha: DiagonalOnePS, n: int, d: int) -> Fraction:
     """Trace of the induced generator on the space of degree-d sections.
 
     Monomial x^e contributes -<w, e>: the action on coordinate functions
-    is inverse to the action on points.
+    is inverse to the action on points.  Each variable has total exponent
+    C(d+n, n+1) over the degree-d monomials, so the trace is
+    -sum(w) C(d+n, n+1).
     """
-    return Fraction(-sum(MonomialBasis(n, d).weights(alpha)))
+    if n < 1 or d < 0:
+        raise ValueError("need n >= 1 and degree >= 0")
+    if len(alpha.weights) != n + 1:
+        raise ValueError("weight vector length mismatch")
+    return Fraction(-sum(alpha.weights) * math.comb(d + n, n + 1))
 
 
 @dataclass(frozen=True)
@@ -250,21 +255,8 @@ def line_weight(q: ProjectivePoint, alpha: DiagonalOnePS) -> int:
     return -min(alpha.weights[i] for i in q.support())
 
 
-@dataclass(frozen=True)
-class CentralPrediction:
-    """Explicit expansion terms for the blowup central fibre.
-
-    The c coefficients are exact; the b coefficients omit a remainder
-    bounded in gamma, which the flags record.
-    """
-
-    coeffs: ExpansionCoeffs
-    b0_slack_O1: bool = True
-    b1_slack_O1: bool = True
-
-
 def predicted_central_coeffs(cycle: WeightedCycle, alpha: DiagonalOnePS,
-                             gamma: int) -> CentralPrediction:
+                             gamma: int) -> ExpansionCoeffs:
     """Predicted primed coefficients for the blowup test configuration.
 
     c0' = c0 g^n - sum a^n / n!
@@ -296,7 +288,7 @@ def predicted_central_coeffs(cycle: WeightedCycle, alpha: DiagonalOnePS,
         cl_an1 = sum(mult[p] ** (n - 1) for p in members)
         b0p -= Fraction(lam * cl_an * gamma, nf)
         b1p -= Fraction(lam * cl_an1 * gamma, half_n2)
-    return CentralPrediction(ExpansionCoeffs(c0p, c1p, b0p, b1p))
+    return ExpansionCoeffs(c0p, c1p, b0p, b1p)
 
 
 def level_weight(p: ProjectivePoint, alpha: DiagonalOnePS,

@@ -28,7 +28,7 @@ from .geometry import (DiagonalOnePS, ProjectivePoint, WeightedCycle,
 from .hilbert import (ExpansionCoeffs, FatPointSpec, MonomialBasis,
                       _int_jet_rows, base_coeffs, fat_point_length,
                       futaki_from_coeffs, jet_vanishing_matrix, lifting_shift,
-                      predicted_central_coeffs, section_trace)
+                      predicted_central_coeffs)
 from .stability import chow_weight
 
 __all__ = [
@@ -320,8 +320,7 @@ def df_invariant(spec: TestConfigSpec) -> DFResult:
             f"{exc}") from exc
     fitted = ExpansionCoeffs(dim_fit[n], dim_fit[n - 1] if n >= 1 else 0,
                              trace_fit[n + 1], trace_fit[n])
-    h0_gamma = math.comb(gamma + n, n)
-    lam_gamma = -section_trace(spec.alpha, n, gamma) / (gamma * h0_gamma)
+    lam_gamma = Fraction(sum(spec.alpha.weights), n + 1)
     normalized = lifting_shift(fitted, gamma * lam_gamma)
     f = futaki_from_coeffs(fitted)
     if f != futaki_from_coeffs(normalized):
@@ -406,10 +405,10 @@ def expansion_comparison(cycle: WeightedCycle, alpha: DiagonalOnePS,
         fit = res.central.fitted
         f_values.append(res.f_exact)
         rows.append(GammaRow(g, res.f_exact,
-                             fit.c0 - pred.coeffs.c0,
-                             fit.c1 - pred.coeffs.c1,
-                             fit.b0 - pred.coeffs.b0,
-                             fit.b1 - pred.coeffs.b1))
+                             fit.c0 - pred.c0,
+                             fit.c1 - pred.c1,
+                             fit.b0 - pred.b0,
+                             fit.b1 - pred.b1))
     # exact quadratic least squares via the normal equations
     powers = [[Fraction(g) ** k for k in range(3)] for g in gs]
     ata = [[sum(row[i] * row[j] for row in powers) for j in range(3)]

@@ -169,7 +169,7 @@ def test_criterion_04_section_count_oracle():
     fits_ok = True
     for g in (4, 5, 6):
         res = df_invariant(TestConfigSpec(triangle, alpha, g))
-        pred = predicted_central_coeffs(triangle, alpha, g).coeffs
+        pred = predicted_central_coeffs(triangle, alpha, g)
         if (res.central.fitted.c0 != pred.c0
                 or res.central.fitted.c1 != pred.c1):
             fits_ok = False

@@ -261,6 +261,16 @@ class TestChowWeightCommand:
         assert code == 2
         assert "weights" in err
 
+    @pytest.mark.parametrize("doc, key", [
+        (dict(COLLINEAR_DOC, weights="[1, 1, -2]"), "weights"),
+        (dict(PRODUCT_DOC, weights2="[3, 1]"), "weights2"),
+    ])
+    def test_string_weights_refused(self, tmp_path, capsys, doc, key):
+        # weights are a JSON array; a string holding one is not read
+        code, payload, err = run_json(tmp_path, capsys, doc, ["chow-weight"])
+        assert code == 2 and payload is None
+        assert err == f"error: {key}: weights must be an integer array\n"
+
 
 class TestDFCommand:
     def test_collinear_golden(self, tmp_path, capsys):
@@ -297,6 +307,18 @@ class TestExpansionCommand:
                                 ["expansion", "--gamma-range", "8..4"])
         assert code == 2
         assert "range" in err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("5..2", "empty range 5..2"),
+    ("5", "expects a..b"),
+    ("a..b", "expects integers"),
+])
+def test_range_errors_name_the_flag_once(tmp_path, capsys, value, message):
+    code, payload, err = run_json(tmp_path, capsys, COLLINEAR_DOC,
+                                  ["df", "--r-samples", value])
+    assert code == 2 and payload is None
+    assert err == f"error: --r-samples: {message}\n"
 
 
 class TestLimitCommand:
@@ -484,6 +506,16 @@ class TestEntryPoint:
         code = main(["check", str(path)])
         assert code == 2
         assert "cannot read input" in capsys.readouterr().err
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # the decoder gives up on nesting past the recursion limit; that is
+        # an unreadable input (exit 2), not an unstable verdict (exit 1)
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: cannot read input: ")
 
     def test_undecodable_input(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from chowstab.errors import ZeroPoint
@@ -12,6 +13,21 @@ from chowstab.geometry import (Ambient, DiagonalOnePS, ProductPoint,
                                limit_point, normalize_cycle, project_cycle)
 
 P2 = Ambient.projective(2)
+
+
+class TestAmbient:
+    def test_dims_decide_the_kind(self):
+        assert Ambient.projective(2) == Ambient((2,))
+        assert Ambient.projective(2).is_projective
+        assert Ambient.product(1, 2) == Ambient((1, 2))
+        assert not Ambient.product(1, 2).is_projective
+        with pytest.raises(ValueError):
+            Ambient.product(1, 2).n
+
+    def test_validation(self):
+        for dims in [(), (1, 1, 1), (0,), (1, 0)]:
+            with pytest.raises(ValueError):
+                Ambient(dims)
 
 
 class TestProjectivePoint:
@@ -47,6 +63,14 @@ class TestNormalizeCycle:
         with pytest.raises(ValueError):
             normalize_cycle(P2, [([1, 0, 0], 0)])
 
+    def test_multiplicities_must_be_integers(self):
+        # a float or a string is refused, never truncated or parsed
+        for mult in (1.5, 2.0, "2", F(2)):
+            with pytest.raises(TypeError):
+                normalize_cycle(P2, [([1, 0, 0], mult)])
+        cyc = normalize_cycle(P2, [([1, 0, 0], np.int64(2))])
+        assert cyc.points[0][1] == 2 and type(cyc.points[0][1]) is int
+
     def test_empty_cycle(self):
         cyc = normalize_cycle(P2, [])
         assert cyc.is_empty and cyc.total_mass() == 0 and len(cyc) == 0
@@ -72,6 +96,17 @@ class TestNormalizeCycle:
         assert p.parts[0].coords == (1, 2)
         assert p.parts[1].coords == (1, 2)
 
+    def test_product_points_take_only_flat_coordinates(self):
+        amb = Ambient.product(1, 1)
+        # the (part1, part2) pair is one entry per factor, not four
+        with pytest.raises(ValueError, match="wrong length"):
+            normalize_cycle(amb, [([[1, 2], [3, 6]], 1)])
+        point = normalize_cycle(amb, [([1, 2, 3, 6], 1)]).points[0][0]
+        with pytest.raises(TypeError):
+            normalize_cycle(amb, [(point, 1)])
+        with pytest.raises(ValueError, match="wrong length"):
+            normalize_cycle(amb, [([1, 2, 3], 1)])
+
 
 class TestDiagonalOnePS:
     def test_traceless_normalization(self):
@@ -86,6 +121,15 @@ class TestDiagonalOnePS:
         a = DiagonalOnePS((1, 0, -1))
         assert a.shifted(5).weights == (6, 5, 4)
         assert a.shifted(5).normalized() == a.normalized()
+
+    def test_weights_must_be_integers(self):
+        # a float or a string is refused, never truncated or parsed
+        for ws in [(1.7, 0, -1), (1.0, 0, -1), ("1", 0, -1), (F(1), 0, -1)]:
+            with pytest.raises(TypeError):
+                DiagonalOnePS(ws)
+        a = DiagonalOnePS(tuple(np.array([1, 0, -1])))
+        assert a.weights == (1, 0, -1)
+        assert all(type(w) is int for w in a.weights)
 
     def test_trivial(self):
         t = DiagonalOnePS.trivial(3)

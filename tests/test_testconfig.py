@@ -7,7 +7,7 @@ forms checked against the implementation on disjoint gamma windows.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from chowstab import (Ambient, ChowstabError, DiagonalOnePS, ExpansionCoeffs,
                       TestConfigSpec, ZeroLeadingCoefficient,
                       central_fibre_cycle, central_fibre_sections,
                       df_invariant, expansion_comparison, lifting_shift,
-                      normalize_cycle)
+                      normalize_cycle, section_trace)
 from chowstab import exactcore
 from chowstab.exactcore import PolyT, limit_subspace
 from chowstab.hilbert import fat_point_length
@@ -289,10 +289,12 @@ class TestDFInvariant:
             assert res.f_exact == base
 
     def test_lifting_normalization(self):
-        res = df_invariant(TestConfigSpec(CALIBRATION, DiagonalOnePS((3, 0, 0)),
-                                          3))
+        alpha = DiagonalOnePS((3, 0, 0))
+        res = df_invariant(TestConfigSpec(CALIBRATION, alpha, 3))
         c = res.central
         assert c.lam_gamma == 1
+        # sum(w)/(n+1) is minus the mean weight of the level-gamma sections
+        assert c.lam_gamma == -section_trace(alpha, 2, 3) / (3 * comb(5, 2))
         assert c.normalized == lifting_shift(c.fitted, 3 * c.lam_gamma)
         assert c.fitted == ExpansionCoeffs(4, 4, -10, -9)
         assert c.normalized == ExpansionCoeffs(4, 4, 2, 3)
