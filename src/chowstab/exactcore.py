@@ -17,14 +17,11 @@ the results are converted back to int64 residues.  Matrices are dense,
 which is all the rest of the package needs (a few thousand columns at
 most).
 
-Before that elimination, `int_rank_profile` pins unit rows.  A row with
-exactly one nonzero entry, at column c, makes c a pivot in every column
-order, since no other column is nonzero in that row; and it forces the
-coefficient of c to 0 in every column relation.  So the row and column c
-leave together: the rank is the number of pinned columns plus the rank of
-what is left, and the pivots are the pinned columns together with the
-pivots of what is left.  Every jet row at a coordinate point is a unit
-row, so those points never reach the elimination mod p.
+Before that elimination, `int_rank_profile` pins unit rows, rows with one
+nonzero entry, together with their columns, so every jet row at a
+coordinate point leaves.  Only what is left, A', is bounded, narrowed to
+int64, eliminated mod p and certified; the check reads A' once per check
+prime for each prime, _ROWS rows at a time, which bounds its memory.
 """
 
 from __future__ import annotations
@@ -111,11 +108,7 @@ class PolyT:
         return PolyT(self.coeffs[k:])
 
     def __call__(self, t) -> Fraction:
-        t = _rat(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        return poly_eval(self.coeffs, t)
 
     def __add__(self, other: "PolyT") -> "PolyT":
         a, b = self.coeffs, other.coeffs
@@ -293,7 +286,6 @@ PRIMES = (
 
 _WIDE = 1 << 62     # entries at or above this stay Python ints
 _PIECE = 1 << 16    # _mulmod splits residues into pieces below this
-_COLS = 128         # free columns certified together
 _ROWS = 64          # rows of the matrix checked together
 
 
@@ -313,7 +305,8 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
     without the pinned columns C.  Hence rank(A) = |C| + rank(A'), and
     the pivots of A are C together with the pivots of A' at their own
     columns.  Duplicate unit rows at one column pin it once; zero rows are
-    not unit rows.  Only A' is eliminated and certified.
+    not unit rows.  The pinning reads only the zero pattern; only A' is
+    bounded, narrowed (`_int_array`), eliminated and certified.
 
     Each prime p of PRIMES gives a profile by Gauss-Jordan elimination mod
     p.  A pivot minor that is nonzero mod p is nonzero over Z, so every
@@ -321,26 +314,26 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
     profile is certified when every nonzero free column f, up to the
     column where the prefix rank reaches the number of rows, carries an
     integer kernel vector w with w_f != 0 and every other nonzero entry at
-    an earlier pivot, and A w = 0 is checked exactly (`_certify`): then
-    column f is in the span of the earlier pivot columns, so no prefix rank
-    over Q exceeds the one mod p.  A reconstruction or check that fails
-    adds the next prime; a prime whose profile some prefix rank shows to be
-    smaller is unlucky and dropped.  When PRIMES runs out, `_rref` over Z
-    decides, on a copy of A'.
+    an earlier pivot, and A' w = 0 is checked exactly (`_certify`, once per
+    prime, on every free column still pending): then column f is in the
+    span of the earlier pivot columns, so no prefix rank over Q exceeds
+    the one mod p.  A reconstruction or check that fails adds the next
+    prime; a prime whose profile some prefix rank shows to be smaller is
+    unlucky and dropped.  When PRIMES runs out, `_rref` over Z decides, on
+    a copy of A'.
     """
     if not len(rows) or not ncols:
         return 0, []
-    a, top = _int_array(rows, ncols)
+    a = np.asarray(rows, dtype=object)
+    if a.shape != (len(rows), ncols):
+        raise ValueError(f"rows do not form a {len(rows)} x {ncols} matrix")
     nz = a != 0
     unit = np.count_nonzero(nz, axis=1) == 1
     pinned = nz[unit].any(axis=0)
     # zero columns are free and need no certificate
     live = np.flatnonzero(nz[~unit].any(axis=0) & ~pinned)
     del nz
-    a = a[np.ix_(~unit, live)]
-    if unit.any() and a.size:
-        # the certificate bounds A' w by the entries that stay
-        top = max(int(a.max()), -int(a.min()))
+    a, top = _int_array(a[np.ix_(~unit, live)])
     piv = _certified_pivots(a, top) if a.size else []
     if piv is None:
         piv = _rref(a.tolist())[1]
@@ -367,15 +360,10 @@ def _certified_pivots(a: np.ndarray, top: int) -> Optional[list[int]]:
         if pending.size:
             # the kernel vector of free column f: unit at f, minus the RREF
             # entries of column f at the earlier pivots
-            x = ech[:len(pivots), pending]
+            blocks.append(ech[:len(pivots), pending].astype(np.int32))
             del ech
-            x = x.astype(np.int32)
             primes.append(p)
-            blocks.append(x)
-            ok = np.concatenate([
-                _certify(a, top, pivots, pending[c:c + _COLS], primes,
-                         [b[:, c:c + _COLS] for b in blocks])
-                for c in range(0, pending.size, _COLS)])
+            ok = _certify(a, top, pivots, pending, primes, blocks)
             pending = pending[~ok]
             blocks = [b[:, ~ok] for b in blocks]
         if not pending.size:
@@ -383,14 +371,9 @@ def _certified_pivots(a: np.ndarray, top: int) -> Optional[list[int]]:
     return None
 
 
-def _int_array(rows: Sequence[Sequence[int]], ncols: int
-               ) -> tuple[np.ndarray, int]:
-    """The matrix as an object array of Python ints, narrowed to int64 when
-    every entry is below 2^62 in absolute value; and the largest absolute
-    entry."""
-    a = np.asarray(rows, dtype=object)
-    if a.shape != (len(rows), ncols):
-        raise ValueError(f"rows do not form a {len(rows)} x {ncols} matrix")
+def _int_array(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """An object array of Python ints, narrowed to int64 when every entry
+    is below 2^62 in absolute value; and the largest absolute entry."""
     top = max(a.max(), -a.min()) if a.size else 0
     return (a.astype(np.int64) if top < _WIDE else a), top
 
@@ -447,12 +430,11 @@ def _certify(a: np.ndarray, top: int, pivots: list[int],
     is w = d e_f - sum_i y_i e_pivots[i], y = d x lifted from the residues
     (`_reconstruct`).  Every entry of A w is an integer of absolute value at
     most top * |w|_1, so A w = 0 as soon as it vanishes mod primes whose
-    product exceeds twice that bound.  The check takes _ROWS rows of A at a
-    time, which bounds its memory.
+    product exceeds twice that bound.  One call checks every pending column,
+    reading A once per check prime in blocks of _ROWS rows, which bound its
+    temporaries.
     """
-    nonzero = blocks[0] != 0
-    for x in blocks[1:]:
-        nonzero |= x != 0
+    nonzero = np.logical_or.reduce([x != 0 for x in blocks])
     col, row = np.nonzero(nonzero.T)
     vals, m = _crt([x[row, col] for x in blocks], primes)
     d, y = _reconstruct(vals, col, pending.size, m)
@@ -474,9 +456,9 @@ def _certify(a: np.ndarray, top: int, pivots: list[int],
         return np.zeros_like(ok)
     for q in checks:
         dq = _residues(d, q)
-        yq = np.zeros((len(pivots), pending.size), dtype=np.int64)
-        yq[row, col] = _residues(-y, q)
-        yq = _pieces(yq)
+        # the candidates' residues as the float64 pieces of `_pieces`
+        yq = np.zeros((2, len(pivots), pending.size))
+        yq[:, row, col] = np.divmod(_residues(-y, q), _PIECE)
         for s in range(0, a.shape[0], _ROWS):
             aw = _residues(a[s:s + _ROWS, pending], q) * dq % q
             aw += _mulmod(_pieces(_residues(a[s:s + _ROWS, pivots], q)), yq, q)

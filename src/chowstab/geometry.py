@@ -7,6 +7,7 @@ of points is structural equality.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,14 +60,25 @@ class Ambient:
         return self.dims[0]
 
 
+def _coordinate(c) -> Fraction:
+    """A `numbers.Rational` or rational string as a Fraction; a float's
+    binary value is rarely the number meant, so it raises TypeError."""
+    if isinstance(c, (Fraction, int, str)):
+        return c if isinstance(c, Fraction) else Fraction(c)
+    if isinstance(c, numbers.Integral):
+        return Fraction(operator.index(c))  # a numpy int as a Python int
+    if isinstance(c, numbers.Rational):
+        return Fraction(c)
+    raise TypeError(f"coordinate {c!r} is not an exact rational")
+
+
 class ProjectivePoint:
     """A rational point of P^n in canonical scaling (first nonzero = 1)."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable):
-        raw = tuple(c if isinstance(c, Fraction) else Fraction(c)
-                    for c in coords)
+        raw = tuple(map(_coordinate, coords))
         pivot = None
         for c in raw:
             if c != 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import SubspaceNotSpannedBySupport, VerificationFailed
@@ -454,6 +454,7 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     B((n+1) sum(+-m) - total*sum(s)), in exact Python ints.  At B = 0
     every score is 0 and the first (vector, frame) wins, as in the cube.
     """
+    bound = index(bound)
     if not cycle.ambient.is_projective:
         raise ValueError("search needs a projective ambient")
     if bound < 0:

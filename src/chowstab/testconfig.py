@@ -14,6 +14,7 @@ the explicit t-family, which the tests use as the reference route.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,9 +249,11 @@ class TestConfigSpec:
         n = self.cycle.ambient.n
         if len(self.alpha.weights) != n + 1:
             raise ValueError("weight vector length mismatch")
+        object.__setattr__(self, "gamma", operator.index(self.gamma))
         if self.gamma < 1:
             raise ValueError("gamma must be positive")
-        rs = tuple(self.r_samples) or tuple(range(2, n + 6))
+        rs = tuple(map(operator.index, self.r_samples))
+        rs = rs or tuple(range(2, n + 6))
         if sorted(set(rs)) != list(rs) or rs[0] < 1:
             raise ValueError("r samples must be increasing positive integers")
         if len(rs) < n + 4:
@@ -392,7 +395,7 @@ def expansion_comparison(cycle: WeightedCycle, alpha: DiagonalOnePS,
     n = cycle.ambient.n
     if n < 2:
         raise ValueError("expansion comparison needs ambient dimension >= 2")
-    gs = tuple(sorted(set(int(g) for g in gammas)))
+    gs = tuple(sorted(set(operator.index(g) for g in gammas)))
     if len(gs) < 4:
         raise ValueError("need at least four gamma values for a quadratic fit")
     f_values = []

@@ -193,7 +193,8 @@ class TestIntRankProfile:
         # the kernel vector (-1, 1) of both is zero mod both
         rows = [[1, 1], [1, 1 + PRIMES[0] * PRIMES[1]]]
         for p in PRIMES[:2]:
-            assert _rref_mod(_residues(_int_array(rows, 2)[0], p), p) == [0]
+            a = np.array(rows, dtype=object)
+            assert _rref_mod(_residues(a, p), p) == [0]
         calls = []
         monkeypatch.setattr(exactcore, "_rref",
                             lambda *args: calls.append(args))
@@ -208,9 +209,12 @@ class TestIntRankProfile:
             [[-big, 5], [3, 2 ** 120 + 7]],
             [[2 ** 90, 2 ** 91, 1], [2 ** 89, 2 ** 90, 0]],
         ]
-        assert _int_array(cases[0], 2)[0].dtype == np.int64
+        def dtype(rows):
+            return _int_array(np.array(rows, dtype=object))[0].dtype
+
+        assert dtype(cases[0]) == np.int64
         for rows in cases[1:]:
-            assert _int_array(rows, len(rows[0]))[0].dtype == object
+            assert dtype(rows) == object
         for rows in cases:
             nc = len(rows[0])
             sm = sympy.Matrix(rows)
@@ -321,6 +325,74 @@ class TestIntRankProfile:
         rows = [row[:] for row in data.draw(st.permutations(rows))]
         _assert_profile_and_fallback(rows, nc)
         assert {c for c, _ in units} <= set(int_rank_profile(rows, nc)[1])
+
+    def test_one_certificate_call_per_prime(self, monkeypatch):
+        # a rank-3 product with about 300 free columns to certify, first
+        # with a lucky first prime, then with PRIMES[0] making it unlucky
+        rng = random.Random(20261019)
+        left = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(6)]
+        right = [[rng.randint(1, 5) for _ in range(300)] for _ in range(3)]
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                for row in left]
+        unlucky = [row[:] for row in rows]
+        unlucky[5][0] += PRIMES[0]
+        rounds, calls = [], []
+
+        def rref_mod(m, p):
+            rounds.append(p)
+            return _rref_mod(m, p)
+
+        def certify(a, top, pivots, pending, primes, blocks):
+            calls.append(pending.size)
+            return certify_all(a, top, pivots, pending, primes, blocks)
+
+        certify_all = exactcore._certify
+        monkeypatch.setattr(exactcore, "_rref_mod", rref_mod)
+        monkeypatch.setattr(exactcore, "_certify", certify)
+        for matrix, nprimes in ((rows, 1), (unlucky, 2)):
+            rounds.clear()
+            calls.clear()
+            assert (int_rank_profile(matrix, 300)
+                    == bareiss_rank_profile(matrix, 300))
+            assert len(rounds) == len(calls) == nprimes
+            assert min(calls) > 128
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_bareiss_on_wide_products_past_128_columns(self, data):
+        # every entry is at least 2^62 in absolute value, so the certificate
+        # runs on an object array, with more than 128 free columns pending
+        nr, nc = data.draw(st.integers(2, 6)), data.draw(st.integers(130, 160))
+        k = data.draw(st.integers(1, nr - 1))
+        left = data.draw(_matrices(nr, k, st.integers(1, 3)))
+        right = data.draw(_matrices(k, nc, st.integers(2 ** 62, 2 ** 70)))
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=nc,
+                                   max_size=nc))
+        rows = [[s * sum(x * y for x, y in zip(row, col))
+                 for s, col in zip(signs, zip(*right))] for row in left]
+        _assert_profile_and_fallback(rows, nc)
+
+    def test_wide_unit_rows_leave_before_the_narrowing(self, monkeypatch):
+        # the only entries beyond int64 sit in unit rows, so A' is int64
+        rng = random.Random(7)
+        left = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(5)]
+        right = [[rng.randint(-4, 4) for _ in range(140)] for _ in range(2)]
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                for row in left]
+        for c, x in ((0, 2 ** 70), (7, -2 ** 63), (139, 2 ** 90 + 1)):
+            rows.append([x if j == c else 0 for j in range(140)])
+        seen = []
+
+        def spy(a, top):
+            seen.append((a.dtype, top))
+            return certified_pivots(a, top)
+
+        certified_pivots = exactcore._certified_pivots
+        monkeypatch.setattr(exactcore, "_certified_pivots", spy)
+        _assert_profile_and_fallback(rows, 140)
+        assert {0, 7, 139} <= set(int_rank_profile(rows, 140)[1])
+        assert seen and all(dtype == np.int64 and top < 2 ** 62
+                            for dtype, top in seen)
 
 
 def _assert_profile_and_fallback(rows, ncols):

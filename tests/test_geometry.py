@@ -1,6 +1,7 @@
 """Points, cycles, diagonal 1-PS data and limit bookkeeping."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -48,6 +49,18 @@ class TestProjectivePoint:
 
     def test_repr(self):
         assert repr(ProjectivePoint([2, 0, 4])) == "[1:0:2]"
+
+    def test_coordinates_must_be_exact(self):
+        # a float's binary value is not the decimal it was written as
+        for c in (0.1, 2.0, np.float64(2), Decimal("0.1"), None):
+            with pytest.raises(TypeError):
+                ProjectivePoint([c, 1])
+        with pytest.raises(TypeError):
+            normalize_cycle(Ambient.projective(1),
+                            [([0.1, 1], 1), (["1/10", 1], 1)])
+        p = ProjectivePoint([np.int64(1), "1/10", F(1, 10), True])
+        assert p == ProjectivePoint([10, 1, 1, 10])
+        assert all(type(c.numerator) is int for c in p.coords)
 
 
 class TestNormalizeCycle:

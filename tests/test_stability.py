@@ -8,6 +8,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -479,6 +480,15 @@ class TestSearchOracle:
         cyc = normalize_cycle(amb, [([1, 0, 1, 0], 1)])
         with pytest.raises(ValueError):
             exhaustive_ops_search(cyc, 1)
+
+    def test_bound_must_be_an_integer(self):
+        # refused at the call, never searched with a non-integer B
+        for bound in (Fraction(5, 2), 2.0, "2"):
+            with pytest.raises(TypeError):
+                exhaustive_ops_search(COLLINEAR, bound)
+        res = exhaustive_ops_search(COLLINEAR, np.int64(2))
+        assert res == exhaustive_ops_search(COLLINEAR, 2)
+        assert all(type(w) is int for w in res.weights)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())

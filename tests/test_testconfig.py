@@ -9,6 +9,7 @@ forms checked against the implementation on disjoint gamma windows.
 from fractions import Fraction
 from math import comb, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -337,6 +338,17 @@ class TestDFInvariant:
         spec = TestConfigSpec(COLLINEAR, W112, 4)
         assert spec.r_samples == (2, 3, 4, 5, 6, 7)
 
+    def test_spec_gamma_and_r_samples_must_be_integers(self):
+        with pytest.raises(TypeError):
+            TestConfigSpec(COLLINEAR, W112, 4.0)
+        with pytest.raises(TypeError):
+            TestConfigSpec(COLLINEAR, W112, 4, (2, 3, 4.0, 5, 6, 7))
+        spec = TestConfigSpec(COLLINEAR, W112, np.int64(4),
+                              tuple(np.arange(2, 8)))
+        assert spec == TestConfigSpec(COLLINEAR, W112, 4)
+        assert type(spec.gamma) is int
+        assert all(type(r) is int for r in spec.r_samples)
+
 
 class TestUnitRowsLeaveTheElimination:
     """At a coordinate point every jet row is a unit row, so its rows and
@@ -411,3 +423,9 @@ class TestExpansionComparison:
         line = normalize_cycle(P1, [([1, 0], 1)])
         with pytest.raises(ValueError):
             expansion_comparison(line, DiagonalOnePS((1, -1)), [4, 5, 6, 7])
+
+    def test_gammas_must_be_integers(self):
+        # 4.7 is refused at the call, not run as gamma 4
+        for gamma in (4.7, 4.0, Fraction(9, 2)):
+            with pytest.raises(TypeError):
+                expansion_comparison(COLLINEAR, W112, [gamma, 5, 6, 7, 8])
