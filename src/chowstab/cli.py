@@ -328,6 +328,12 @@ def _cmd_chow_weight(doc, args) -> tuple[int, dict]:
     return 0, payload
 
 
+# Longest a..b range accepted.  On the collinear triple at gamma 4,
+# `df --r-samples 1..100` takes about 4 s on a 2-vCPU VM, and each sample
+# costs more than the one before it.
+_MAX_RANGE = 100
+
+
 def _parse_range(text: str, flag: str) -> tuple[int, ...]:
     parts = text.split("..")
     if len(parts) != 2:
@@ -338,6 +344,9 @@ def _parse_range(text: str, flag: str) -> tuple[int, ...]:
         raise SchemaError("expects integers", flag) from exc
     if b < a:
         raise SchemaError(f"empty range {text}", flag)
+    if b - a + 1 > _MAX_RANGE:
+        raise SchemaError(f"range {text} has {b - a + 1} values, more than "
+                          f"the {_MAX_RANGE} allowed", flag)
     return tuple(range(a, b + 1))
 
 

@@ -22,6 +22,9 @@ nonzero entry, together with their columns, so every jet row at a
 coordinate point leaves.  Only what is left, A', is bounded, narrowed to
 int64, eliminated mod p and certified; the check reads A' once per check
 prime for each prime, _ROWS rows at a time, which bounds its memory.
+`_full_row_rank` pins unit rows the same way and eliminates the rest mod
+one prime: full rank there is full rank over Q, which is all the split
+route of the central fibre (testconfig) needs to certify a sample.
 """
 
 from __future__ import annotations
@@ -327,9 +330,7 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
     a = np.asarray(rows, dtype=object)
     if a.shape != (len(rows), ncols):
         raise ValueError(f"rows do not form a {len(rows)} x {ncols} matrix")
-    nz = a != 0
-    unit = np.count_nonzero(nz, axis=1) == 1
-    pinned = nz[unit].any(axis=0)
+    nz, unit, pinned = _unit_rows(a)
     # zero columns are free and need no certificate
     live = np.flatnonzero(nz[~unit].any(axis=0) & ~pinned)
     del nz
@@ -339,6 +340,33 @@ def int_rank_profile(rows: Sequence[Sequence[int]], ncols: int
         piv = _rref(a.tolist())[1]
     pivots = sorted(np.flatnonzero(pinned).tolist() + live[piv].tolist())
     return len(pivots), pivots
+
+
+def _unit_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The zero pattern of a matrix, its unit rows (one nonzero entry each)
+    and the columns those rows pin."""
+    nz = a != 0
+    unit = np.count_nonzero(nz, axis=1) == 1
+    return nz, unit, nz[unit].any(axis=0)
+
+
+def _full_row_rank(rows: np.ndarray) -> bool:
+    """Whether an integer matrix has full row rank, decided mod one prime.
+
+    `rows` is an object array of Python ints.  Unit rows are pinned as in
+    `int_rank_profile`: the matrix has full row rank exactly when no two
+    unit rows share their column and A', the rest of the rows without the
+    pinned columns, has full row rank.  A' is eliminated mod PRIMES[0].
+    Full rank mod p means a maximal minor that is nonzero mod p, hence
+    nonzero over Z, so True is exact; False may come from an unlucky
+    prime, and callers read it as "not shown".
+    """
+    _, unit, pinned = _unit_rows(rows)
+    if np.count_nonzero(pinned) < np.count_nonzero(unit):
+        return False
+    rest = rows[np.ix_(~unit, ~pinned)]
+    p = PRIMES[0]
+    return len(_rref_mod(_residues(rest, p), p)) == rest.shape[0]
 
 
 def _certified_pivots(a: np.ndarray, top: int) -> Optional[list[int]]:

@@ -15,7 +15,7 @@ import pytest
 from chowstab import (Ambient, DiagonalOnePS, FatPointSpec,
                       central_fibre_sections, classify, exhaustive_ops_search,
                       normalize_cycle, testconfig)
-from chowstab.hilbert import jet_vanishing_matrix
+from chowstab.hilbert import h0_with_vanishing, jet_vanishing_matrix
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -81,23 +81,43 @@ P2_POINTS = {
 }
 
 
-@pytest.mark.parametrize("points", sorted(P2_POINTS))
-def test_jet_layer_is_traced(monkeypatch, points):
-    # the jet matrix is an object array: the hooks must count its rows, and
-    # the rank profile's bit counter (int.bit_length) needs Python ints
+def _traced(monkeypatch, run):
+    """The tracer after one call of run() with every hook installed."""
     tracing = _tracing(monkeypatch)
-    cycle = normalize_cycle(Ambient.projective(2), P2_POINTS[points])
-    alpha = DiagonalOnePS((1, 0, -1))
-    spec = FatPointSpec(cycle, 4, 1)
     tracer = tracing.Tracer(enabled=True)
     installed = tracing.Installed(tracer)
     try:
         assert installed.absent == []
-        testconfig._central_summary(cycle, alpha, spec.degree, spec.r)
+        run()
     finally:
         installed.remove()
+    return tracer
+
+
+@pytest.mark.parametrize("points", sorted(P2_POINTS))
+def test_jet_layer_is_traced(monkeypatch, points):
+    # the jet matrix is an object array: the hooks must count its rows, and
+    # the rank profile's bit counter (int.bit_length) needs Python ints.
+    # h0_with_vanishing takes the global route, which every df sample
+    # that its limit points do not certify still takes
+    cycle = normalize_cycle(Ambient.projective(2), P2_POINTS[points])
+    spec = FatPointSpec(cycle, 4, 1)
+    tracer = _traced(monkeypatch, lambda: h0_with_vanishing(spec))
     rows = jet_vanishing_matrix(spec).tolist()
     bits = max(abs(x).bit_length() for row in rows for x in row)
     assert (bits > 62) == (points == "wide")
     assert tracer.counters["hilbert.jet_rows.rows"] == spec.expected_rows
     assert tracer.counters["exactcore.rank_profile.max_bits_in"] == bits
+
+
+def test_certified_single_point_sample_builds_no_jet_rows(monkeypatch):
+    # degree 4 is above the small cycle's regularity bound r M - 1 = 3,
+    # and each limit point is reached by one support point, so the sample
+    # is the closed form: no jet rows and no rank profile
+    cycle = normalize_cycle(Ambient.projective(2), P2_POINTS["small"])
+    alpha = DiagonalOnePS((1, 0, -1))
+    tracer = _traced(monkeypatch, lambda: testconfig._central_summary(
+        cycle, alpha, 4, 1))
+    assert tracer.stats["testconfig.central_summary"].calls == 1
+    assert tracer.stats["hilbert.jet_rows"].calls == 0
+    assert tracer.stats["exactcore.rank_profile"].calls == 0

@@ -321,6 +321,25 @@ def test_range_errors_name_the_flag_once(tmp_path, capsys, value, message):
     assert err == f"error: --r-samples: {message}\n"
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("df", "--r-samples"), ("expansion", "--gamma-range"),
+    ("limit", "--gamma-range"),
+])
+def test_overlong_range_exits_before_it_is_built(tmp_path, capsys, command,
+                                                 flag):
+    # a billion values would ask for about 37 GiB as a tuple
+    code, payload, err = run_json(tmp_path, capsys, COLLIDING_DOC,
+                                  [command, flag, "1..1000000000"])
+    assert code == 2 and payload is None
+    assert err == (f"error: {flag}: range 1..1000000000 has 1000000000 "
+                   f"values, more than the {cli._MAX_RANGE} allowed\n")
+
+
+def test_longest_range_is_accepted():
+    assert cli._parse_range(f"3..{cli._MAX_RANGE + 2}", "--r-samples") == \
+        tuple(range(3, cli._MAX_RANGE + 3))
+
+
 class TestLimitCommand:
     def test_colliding_triple(self, tmp_path, capsys):
         code, payload, _ = run_json(tmp_path, capsys, COLLIDING_DOC,

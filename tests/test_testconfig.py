@@ -20,10 +20,13 @@ from chowstab import (Ambient, ChowstabError, DiagonalOnePS, ExpansionCoeffs,
                       central_fibre_cycle, central_fibre_sections,
                       df_invariant, expansion_comparison, lifting_shift,
                       normalize_cycle, section_trace)
-from chowstab import exactcore
-from chowstab.exactcore import PolyT, limit_subspace
-from chowstab.hilbert import fat_point_length
-from chowstab.testconfig import _central_summary, moving_section_family
+from chowstab import exactcore, testconfig
+from chowstab.errors import VerificationFailed
+from chowstab.exactcore import PolyT, graded_limit, limit_subspace
+from chowstab.hilbert import (FatPointSpec, fat_point_length,
+                              jet_vanishing_matrix)
+from chowstab.testconfig import (_central_summary, _split_summary,
+                                 moving_section_family)
 from fibre_reference import (checked_fibre, reference_vanishing_orders,
                              span_equal)
 
@@ -215,6 +218,123 @@ def test_df_under_joint_permutation_of_coordinates_and_weights(case):
                                  for p, a in cycle.points])
     assert _df_outcome(moved, tuple(weights[j] for j in perm), gamma) == \
         _df_outcome(cycle, tuple(weights), gamma)
+
+
+def _global_summary(cycle, alpha, degree, r):
+    """_central_summary by the global route: graded_limit of the full jet
+    matrix."""
+    spec = FatPointSpec(cycle, degree, r)
+    weights = MonomialBasis(cycle.ambient.n, degree).weights(alpha)
+    rank, graded, _ = graded_limit(jet_vanishing_matrix(spec), weights)
+    return (len(weights) - rank, -sum(c * k for c, k in graded.items()),
+            graded, rank == spec.expected_rows)
+
+
+@st.composite
+def _split_cases(draw):
+    """A P^2 or P^3 cycle built around one to four limit points, r and a
+    gamma up to M + 1.
+
+    A limit point q has its coordinates in one weight space of alpha, of
+    weight mu; each support point that reaches it is q plus coordinates of
+    weight above mu.  So the cycles have clusters, coordinate and other
+    limit points, and masses 1-2.
+    """
+    n = draw(st.sampled_from((2, 3)))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=n + 1,
+                            max_size=n + 1))
+    points = []
+    for _ in range(draw(st.integers(1, 4)) if draw(st.booleans()) else 4):
+        mu = draw(st.sampled_from(sorted(set(weights))))
+        low = [j for j, w in enumerate(weights) if w == mu]
+        high = [j for j, w in enumerate(weights) if w > mu]
+        q = draw(st.lists(_COORD, min_size=len(low),
+                          max_size=len(low)).filter(any))
+        for _ in range(draw(st.integers(1, 2 if high else 1))):
+            coords = [0] * (n + 1)
+            for j, c in zip(low, q):
+                coords[j] = c
+            for j in high:
+                coords[j] = draw(_COORD)
+            points.append((coords, draw(st.integers(1, 2))))
+    cycle = normalize_cycle(Ambient.projective(n), points)
+    gamma = draw(st.sampled_from(range(1, cycle.total_mass() + 2)))
+    r = draw(st.integers(1, 2))
+    return cycle, DiagonalOnePS(tuple(weights)), gamma * r, r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_split_cases())
+def test_split_route_matches_graded_limit(case):
+    cycle, alpha, degree, r = case
+    split = _split_summary(cycle, alpha, degree, r)
+    if split is not None:
+        assert split == _global_summary(cycle, alpha, degree, r)
+
+
+# (cycle, weights, gamma, r): each is certified below the bound r M - 1
+SPLIT_BELOW_BOUND = {
+    # a cluster of mass 3 at e2 and two coordinate points, gamma 3 < M = 5
+    "cluster": (normalize_cycle(P2, [([1, 0, 0], 1), ([0, 1, 0], 1),
+                                     ([0, 0, 1], 1), ([1, 1, 1], 1),
+                                     ([1, 2, 3], 1)]), (1, 0, -1), 3, 1),
+    # four coordinate points: the monomial check alone
+    "coordinate": (normalize_cycle(P3, [([1, 0, 0, 0], 1), ([0, 1, 0, 0], 1),
+                                        ([0, 0, 1, 0], 1), ([0, 0, 0, 1], 1)]),
+                   (1, 1, -1, -1), 2, 3),
+    # limit points off the coordinate axes: the rank check mod p
+    "heavy": (normalize_cycle(P3, [([1, 1, 0, 0], 3), ([1, 0, 1, 0], 1),
+                                   ([0, 1, 1, 1], 1)]), (1, 1, -1, -1), 4, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_BELOW_BOUND))
+def test_split_route_certifies_below_the_bound(name):
+    cycle, weights, gamma, r = SPLIT_BELOW_BOUND[name]
+    alpha = DiagonalOnePS(weights)
+    assert gamma * r < r * cycle.total_mass() - 1
+    split = _split_summary(cycle, alpha, gamma * r, r)
+    assert split is not None
+    assert split == _global_summary(cycle, alpha, gamma * r, r)
+
+
+def test_line_count_sends_heavy_lines_to_the_global_route():
+    # three limit points of mass r on one line of P^3 at gamma 2 carry
+    # 3r > 2r + 1 for r >= 2: the split is wrong there, and not taken
+    cycle = normalize_cycle(P3, [([1, 0, 0, 0], 1), ([0, 1, 0, 0], 1),
+                                 ([1, 1, 0, 0], 1), ([1, 2, 3, 4], 1)])
+    alpha = DiagonalOnePS((1, 1, -1, -1))
+    assert _split_summary(cycle, alpha, 2, 1) is not None
+    for r in (2, 3):
+        assert _split_summary(cycle, alpha, 2 * r, r) is None
+
+
+def test_rank_check_sends_special_fat_points_to_the_global_route():
+    # five double points whose limits lie on a conic of the plane x3 = 0:
+    # no line carries more than d + 1 = 5, but the squared conic is a
+    # quartic the limit fat points miss, so only the rank check refuses
+    cycle = normalize_cycle(P3, [([1, 0, 0, 1], 2), ([1, 1, 1, 2], 2),
+                                 ([4, 2, 1, 3], 2), ([9, 3, 1, 5], 2),
+                                 ([1, -1, 1, 7], 2)])
+    alpha = DiagonalOnePS((-1, -1, -1, 3))
+    assert _split_summary(cycle, alpha, 4, 1) is None
+    assert (_central_summary(cycle, alpha, 4, 1)
+            == _global_summary(cycle, alpha, 4, 1))
+
+
+def test_split_self_check_raises(monkeypatch):
+    # a closed form that loses one weight no longer adds up to the
+    # fat-point lengths
+    real = testconfig._fat_point_weights
+
+    def short(q, m, alpha):
+        local = real(q, m, alpha)
+        local[min(local)] -= 1
+        return local
+
+    monkeypatch.setattr(testconfig, "_fat_point_weights", short)
+    with pytest.raises(VerificationFailed):
+        _split_summary(COLLINEAR, W112, 8, 2)
 
 
 class TestCentralFibreCycle:
