@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -699,26 +699,30 @@ def poly_eval(coeffs: Sequence[Fraction], x) -> Fraction:
     return acc
 
 def interpolate_poly(samples: Sequence[tuple], degree: int,
-                     verify: Sequence[tuple]) -> list[Fraction]:
+                     verify: Iterable[tuple]) -> list[Fraction]:
     """Exact polynomial interpolation plus mandatory held-out checks.
 
-    `samples` must hold exactly degree+1 pairs (x, value) with distinct x;
-    `verify` must be non-empty and is checked exactly against the
-    interpolant.  A mismatch raises VerificationFailed, which downstream
-    code reads as "the data is not yet polynomial on this range".
+    `samples` must hold exactly degree+1 pairs (x, value) with distinct x.
+    `verify` is read once, in order, and each pair is checked exactly
+    against the interpolant as it arrives, so a lazy iterable computes no
+    pair after the first mismatch.  A mismatch raises VerificationFailed,
+    which downstream code reads as "the data is not yet polynomial on this
+    range"; a `verify` that yields nothing raises ValueError.
     """
     if len(samples) != degree + 1:
         raise ValueError("need exactly degree+1 samples")
     xs = [_rat(x) for x, _ in samples]
     if len(set(xs)) != len(xs):
         raise ValueError("sample points must be distinct")
-    if not verify:
-        raise ValueError("at least one verification sample is required")
     rows = [[x ** k for k in range(degree + 1)] for x in xs]
     coeffs = _solve(rows, [v for _, v in samples])
+    checked = 0
     for x, v in verify:
         got = poly_eval(coeffs, x)
         if got != _rat(v):
             raise VerificationFailed(
                 f"interpolant gives {got} at {x}, sample says {v}")
+        checked += 1
+    if not checked:
+        raise ValueError("at least one verification sample is required")
     return coeffs

@@ -10,9 +10,9 @@ affine chart where the first nonzero coordinate of the point equals 1.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,15 +39,47 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+# exponent lists held across calls, counted in monomials (about 5 MiB at
+# three variables): a round of the df-p2 benchmark workload uses 44 lists
+# of 13,575 monomials in all, so every one is reused in the next round
+_EXPONENT_CACHE_LIMIT = 1 << 16
+_exponent_cache: OrderedDict[tuple[int, int],
+                             tuple[tuple[int, ...], ...]] = OrderedDict()
+
+
 def _exponents(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors of the degree-`total` monomials in `nvars`
+    variables, graded lex, descending.
+
+    The most recently used lists are kept while they hold at most
+    _EXPONENT_CACHE_LIMIT monomials in all; a longer list is never kept.
+    """
+    key = (nvars, total)
+    out = _exponent_cache.pop(key, None)
+    if out is not None:
+        _exponent_cache[key] = out
+        return out
+    out = _build_exponents(nvars, total)
+    if len(out) <= _EXPONENT_CACHE_LIMIT:
+        _exponent_cache[key] = out
+        held = sum(map(len, _exponent_cache.values()))
+        while held > _EXPONENT_CACHE_LIMIT:
+            held -= len(_exponent_cache.popitem(last=False)[1])
+    return out
+
+
+def _build_exponents(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """_exponents built afresh: two leading exponents, then the exponents
+    of the remaining nvars - 2 variables, whose lists are a lower-order
+    cost."""
     if nvars == 1:
         return ((total,),)
-    out = []
-    for e in range(total, -1, -1):
-        for rest in _exponents(nvars - 1, total - e):
-            out.append((e,) + rest)
-    return tuple(out)
+    if nvars == 2:
+        return tuple((e, total - e) for e in range(total, -1, -1))
+    tails = [_build_exponents(nvars - 2, k) for k in range(total + 1)]
+    return tuple((e, f) + rest for e in range(total, -1, -1)
+                 for f in range(total - e, -1, -1)
+                 for rest in tails[total - e - f])
 
 
 class MonomialBasis:

@@ -26,6 +26,11 @@ matrix; a cluster of several takes graded_limit of its own jets at degree
 r M_q - 1 (_split_summary holds the argument).  Every sample not so
 certified takes graded_limit of the global jet matrix, which stays the
 reference for the split route.
+
+df_invariant computes its samples in increasing r and checks each
+held-out dimension as its sample arrives, so a refusal stops at the first
+dimension that misses the interpolant; the traces are checked after the
+last sample.
 """
 
 from __future__ import annotations
@@ -457,37 +462,48 @@ class DFResult:
 def df_invariant(spec: TestConfigSpec) -> DFResult:
     """Exact F at level gamma from degreewise dims and traces.
 
-    Dimensions are fitted by a degree-n polynomial in r and traces by a
-    degree-(n+1) polynomial, each interpolated on the minimal prefix of
-    r_samples and verified exactly on the held-out rest; any mismatch
-    raises PolynomialityFailed (sampling started below the stability
-    threshold r0 of the data).  The level-gamma lifting normalization is
+    The r samples are computed in increasing r.  Dimensions are fitted by
+    a degree-n polynomial in r on the first n+1 samples, and each later
+    sample's dimension is checked exactly against that interpolant as soon
+    as the sample is computed: the first mismatch raises
+    PolynomialityFailed (sampling started below the stability threshold r0
+    of the data) and no further sample is computed.  Traces are fitted by
+    a degree-(n+1) polynomial on the first n+2 samples and checked on the
+    rest after the last sample, so a trace mismatch is reported only when
+    every dimension has passed.  The level-gamma lifting normalization is
     applied and, since the invariant is blind to liftings, checked to
     leave F unchanged.
     """
     n = spec.cycle.ambient.n
     gamma = spec.gamma
+    rs = spec.r_samples
     dims: dict[int, int] = {}
     traces: dict[int, Fraction] = {}
     separation: dict[int, bool] = {}
-    for r in spec.r_samples:
-        dim, tr, _, full = _central_summary(spec.cycle, spec.alpha,
-                                            gamma * r, r)
-        dims[r] = dim
-        traces[r] = tr
-        separation[r] = full
+    sampling = False
+
+    def dim_samples(r_values):
+        nonlocal sampling
+        for r in r_values:
+            sampling = True
+            dims[r], traces[r], _, separation[r] = _central_summary(
+                spec.cycle, spec.alpha, gamma * r, r)
+            sampling = False
+            yield r, Fraction(dims[r])
+
+    fit = list(dim_samples(rs[:n + 1]))
     try:
-        dim_fit = interpolate_poly(
-            [(r, Fraction(dims[r])) for r in spec.r_samples[:n + 1]],
-            n,
-            [(r, Fraction(dims[r])) for r in spec.r_samples[n + 1:]])
+        dim_fit = interpolate_poly(fit, n, dim_samples(rs[n + 1:]))
         trace_fit = interpolate_poly(
-            [(r, traces[r]) for r in spec.r_samples[:n + 2]],
+            [(r, traces[r]) for r in rs[:n + 2]],
             n + 1,
-            [(r, traces[r]) for r in spec.r_samples[n + 2:]])
+            [(r, traces[r]) for r in rs[n + 2:]])
     except VerificationFailed as exc:
+        if sampling:
+            # a held-out sample's own identity failed, not its check
+            raise
         raise PolynomialityFailed(
-            f"r samples {spec.r_samples} start below the polynomial range: "
+            f"r samples {rs} start below the polynomial range: "
             f"{exc}") from exc
     fitted = ExpansionCoeffs(dim_fit[n], dim_fit[n - 1] if n >= 1 else 0,
                              trace_fit[n + 1], trace_fit[n])

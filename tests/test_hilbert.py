@@ -22,7 +22,8 @@ from chowstab import (Ambient, DiagonalOnePS, ExpansionCoeffs, FatPointSpec,
                       level_weight, lifting_shift, line_weight,
                       mumford_weight, normalize_cycle,
                       predicted_central_coeffs, section_trace)
-from chowstab.hilbert import _int_jet_rows, jet_vanishing_matrix
+from chowstab import hilbert
+from chowstab.hilbert import _exponents, _int_jet_rows, jet_vanishing_matrix
 from jet_reference import reference_jet_matrix, reference_jet_rows
 
 P1 = Ambient.projective(1)
@@ -105,6 +106,35 @@ class TestMonomialBasis:
     def test_evaluate(self):
         b = MonomialBasis(1, 2)
         assert b.evaluate([Fraction(2), Fraction(3)]) == [4, 6, 9]
+
+    def test_exponents_match_the_recursive_definition(self):
+        # the first exponent runs from total down to 0, each followed by
+        # the exponents of the rest in the same order
+        def recursive(nvars, total):
+            if nvars == 1:
+                return [(total,)]
+            return [(e,) + rest for e in range(total, -1, -1)
+                    for rest in recursive(nvars - 1, total - e)]
+
+        for nvars in range(1, 6):
+            for total in range(9):
+                assert list(_exponents(nvars, total)) == \
+                    recursive(nvars, total)
+
+    def test_exponent_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "_EXPONENT_CACHE_LIMIT", 100)
+        monkeypatch.setattr(hilbert, "_exponent_cache",
+                            type(hilbert._exponent_cache)())
+        small = _exponents(3, 8)                     # 45 monomials
+        assert _exponents(3, 8) is small
+        _exponents(2, 40)                            # 41 more: 86 held
+        assert _exponents(3, 8) is small
+        big = _exponents(3, 20)                      # 231: never kept
+        assert len(big) == math.comb(22, 2)
+        assert (3, 20) not in hilbert._exponent_cache
+        _exponents(3, 9)                             # 55 more: evicts (2, 40)
+        assert list(hilbert._exponent_cache) == [(3, 8), (3, 9)]
+        assert sum(map(len, hilbert._exponent_cache.values())) <= 100
 
     def test_validation(self):
         with pytest.raises(ValueError):

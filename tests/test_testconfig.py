@@ -6,12 +6,14 @@ point.  The golden values for the invariant itself were frozen from closed
 forms checked against the implementation on disjoint gamma windows.
 """
 
+import json
 from fractions import Fraction
 from math import comb, isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chowstab import (Ambient, ChowstabError, DiagonalOnePS, ExpansionCoeffs,
@@ -27,6 +29,7 @@ from chowstab.hilbert import (FatPointSpec, fat_point_length,
                               jet_vanishing_matrix)
 from chowstab.testconfig import (_central_summary, _split_summary,
                                  moving_section_family)
+from df_reference import eager_df_invariant
 from fibre_reference import (checked_fibre, reference_vanishing_orders,
                              span_equal)
 
@@ -468,6 +471,153 @@ class TestDFInvariant:
         assert spec == TestConfigSpec(COLLINEAR, W112, 4)
         assert type(spec.gamma) is int
         assert all(type(r) is int for r in spec.r_samples)
+
+
+def _counted(monkeypatch, summary=None):
+    """Record the r of every _central_summary call; `summary`, when given,
+    stands in for the real one."""
+    calls = []
+    inner = summary or testconfig._central_summary
+
+    def counted(cycle, alpha, degree, r):
+        calls.append(r)
+        return inner(cycle, alpha, degree, r)
+
+    monkeypatch.setattr(testconfig, "_central_summary", counted)
+    return calls
+
+
+def _fake_summary(dim_miss=None, trace_miss=None, error_at=None):
+    """Dimension r^2 and trace r^3, one more at the given miss."""
+    def summary(cycle, alpha, degree, r):
+        if r == error_at:
+            raise VerificationFailed("the sample's own check failed")
+        return (r * r + (r == dim_miss), Fraction(r ** 3 + (r == trace_miss)),
+                {}, True)
+    return summary
+
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+P3_ROADMAP = normalize_cycle(P3, [([1, 0, 0, 0], 1), ([0, 1, 0, 0], 1),
+                                 ([1, 1, 0, 0], 1), ([1, 2, 3, 4], 1)])
+
+
+class TestSampleOrder:
+    """df_invariant computes its samples in increasing r, checks each
+    held-out dimension as it arrives and the traces after the last one.
+    The collinear spec at gamma 4 samples r = 2..7 on P^2: dimensions fit
+    on r = 2, 3, 4 and traces on r = 2..5."""
+
+    SPEC = TestConfigSpec(COLLINEAR, W112, 4)
+
+    def test_first_held_out_miss_stops_after_n_plus_two(self, monkeypatch):
+        calls = _counted(monkeypatch, _fake_summary(dim_miss=5))
+        with pytest.raises(PolynomialityFailed,
+                           match="interpolant gives 25 at 5, sample says 26$"):
+            df_invariant(self.SPEC)
+        assert calls == [2, 3, 4, 5]
+
+    def test_last_held_out_miss_computes_every_sample(self, monkeypatch):
+        calls = _counted(monkeypatch, _fake_summary(dim_miss=7))
+        with pytest.raises(PolynomialityFailed,
+                           match="interpolant gives 49 at 7, sample says 50$"):
+            df_invariant(self.SPEC)
+        assert calls == [2, 3, 4, 5, 6, 7]
+
+    def test_trace_miss_comes_after_every_sample(self, monkeypatch):
+        calls = _counted(monkeypatch, _fake_summary(trace_miss=6))
+        with pytest.raises(PolynomialityFailed,
+                           match="interpolant gives 216 at 6, "
+                                 "sample says 217$"):
+            df_invariant(self.SPEC)
+        assert calls == [2, 3, 4, 5, 6, 7]
+
+    def test_dimension_miss_is_reported_before_a_trace_miss(self,
+                                                            monkeypatch):
+        calls = _counted(monkeypatch, _fake_summary(dim_miss=7, trace_miss=6))
+        with pytest.raises(PolynomialityFailed, match="gives 49 at 7"):
+            df_invariant(self.SPEC)
+        assert calls == [2, 3, 4, 5, 6, 7]
+
+    def test_a_sample_error_is_not_a_polynomiality_failure(self,
+                                                           monkeypatch):
+        # a held-out sample that fails its own identity raises that error,
+        # as the eager route did, not a miss of the interpolant
+        calls = _counted(monkeypatch, _fake_summary(error_at=6))
+        for route in (df_invariant, eager_df_invariant):
+            calls.clear()
+            with pytest.raises(VerificationFailed) as info:
+                route(self.SPEC)
+            assert type(info.value) is VerificationFailed
+            assert str(info.value) == "the sample's own check failed"
+            assert calls == [2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("workload, kind, cycle, weights, r_samples, "
+                             "calls", [
+        ("df-p2", "df-collinear-g2", COLLINEAR, (1, 1, -2), (),
+         [2, 3, 4, 5]),
+        ("df-p3", "df-p3-roadmap", P3_ROADMAP, (1, 1, -1, -1), range(1, 8),
+         [1, 2, 3, 4, 5]),
+    ])
+    def test_stored_refusals_stop_at_the_first_miss(
+            self, monkeypatch, workload, kind, cycle, weights, r_samples,
+            calls):
+        with open(EXPECTED / f"{workload}.json", encoding="utf-8") as fh:
+            stored = json.load(fh)["answers"][kind]["stderr"]
+        got = _counted(monkeypatch)
+        with pytest.raises(PolynomialityFailed) as info:
+            df_invariant(TestConfigSpec(cycle, DiagonalOnePS(weights), 2,
+                                        tuple(r_samples)))
+        assert got == calls
+        assert f"error: verification failure: {info.value}\n" == stored
+
+
+def _outcome(route, spec):
+    try:
+        return route(spec)
+    except ChowstabError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _df_sweep_cases(draw):
+    """A P^2 or P^3 cycle of distinct points, in half the cases with three
+    unit points on one line planted (refused at low gamma), a 1-PS, the
+    smallest gamma with gamma^n > sum a^n and r = 1..n+4.  A planted line
+    has one other point at most, and P^3 cycles have unit points with 0/1
+    coordinates, so each case stays cheap."""
+    n = draw(st.sampled_from((2, 3)))
+    coords = st.lists(st.integers(-2 if n == 2 else 0, 2 if n == 2 else 1),
+                      min_size=n + 1, max_size=n + 1).filter(any)
+    planted = draw(st.booleans())
+    points = draw(st.lists(st.tuples(coords, st.integers(1, 4 - n)),
+                           min_size=0 if planted else 1,
+                           max_size=1 if planted else 2))
+    if planted:
+        u, v = draw(coords), draw(coords)
+        w = [a + draw(st.sampled_from((-1, 1, 2))) * b for a, b in zip(u, v)]
+        # u and v must span a line, so the three points are distinct
+        assume(any(u[i] * v[j] != u[j] * v[i]
+                   for i in range(n + 1) for j in range(i)))
+        points += [(u, 1), (v, 1), (w, 1)]
+    cycle = normalize_cycle(Ambient.projective(n), points)
+    assume(len(cycle) == len(points))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=n + 1,
+                            max_size=n + 1))
+    gamma = 1
+    while gamma ** n <= sum(a ** n for _, a in cycle.points):
+        gamma += 1
+    return TestConfigSpec(cycle, DiagonalOnePS(tuple(weights)), gamma,
+                          tuple(range(1, n + 5)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_df_sweep_cases())
+@example(TestConfigSpec(COLLINEAR, W112, 2))
+@example(TestConfigSpec(P3_ROADMAP, DiagonalOnePS((1, 1, -1, -1)), 2,
+                        tuple(range(1, 8))))
+def test_lazy_df_matches_the_eager_reference(spec):
+    assert _outcome(df_invariant, spec) == _outcome(eager_df_invariant, spec)
 
 
 class TestUnitRowsLeaveTheElimination:
