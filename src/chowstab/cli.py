@@ -329,7 +329,7 @@ def _cmd_chow_weight(doc, args) -> tuple[int, dict]:
 
 
 # Longest a..b range accepted.  On the collinear triple at gamma 4,
-# `df --r-samples 1..100` takes about 4 s on a 2-vCPU VM, and each sample
+# `df --r-samples 1..100` takes about 1 s on a 2-vCPU VM, and each sample
 # costs more than the one before it.
 _MAX_RANGE = 100
 

@@ -10,7 +10,7 @@ affine chart where the first nonzero coordinate of the point equals 1.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -39,87 +39,63 @@ __all__ = [
 ]
 
 
-# exponent lists held across calls, counted in monomials (about 5 MiB at
-# three variables): a round of the df-p2 benchmark workload uses 44 lists
-# of 13,575 monomials in all, so every one is reused in the next round
-_EXPONENT_CACHE_LIMIT = 1 << 16
-_exponent_cache: OrderedDict[tuple[int, int],
-                             tuple[tuple[int, ...], ...]] = OrderedDict()
-
-
-def _exponents(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
+def _exponents(nvars: int, total: int) -> np.ndarray:
     """Exponent vectors of the degree-`total` monomials in `nvars`
-    variables, graded lex, descending.
+    variables, graded lex, descending: a read-only (N, nvars) int array.
 
-    The most recently used lists are kept while they hold at most
-    _EXPONENT_CACHE_LIMIT monomials in all; a longer list is never kept.
+    Stars and bars, one variable at a time: a row's last entry is the
+    degree left to place, and the row is repeated once for each way to
+    split it as (rest - k, k), k = 0, ..., rest.
     """
-    key = (nvars, total)
-    out = _exponent_cache.pop(key, None)
-    if out is not None:
-        _exponent_cache[key] = out
-        return out
-    out = _build_exponents(nvars, total)
-    if len(out) <= _EXPONENT_CACHE_LIMIT:
-        _exponent_cache[key] = out
-        held = sum(map(len, _exponent_cache.values()))
-        while held > _EXPONENT_CACHE_LIMIT:
-            held -= len(_exponent_cache.popitem(last=False)[1])
+    out = np.array([[total]], dtype=np.int64)
+    for _ in range(nvars - 1):
+        rest = out[:, -1]
+        parent = np.repeat(np.arange(len(out)), rest + 1)
+        left = np.arange(len(parent)) - np.searchsorted(parent, parent)
+        out = np.column_stack([out[parent, :-1], rest[parent] - left, left])
+    out.flags.writeable = False
     return out
-
-
-def _build_exponents(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
-    """_exponents built afresh: two leading exponents, then the exponents
-    of the remaining nvars - 2 variables, whose lists are a lower-order
-    cost."""
-    if nvars == 1:
-        return ((total,),)
-    if nvars == 2:
-        return tuple((e, total - e) for e in range(total, -1, -1))
-    tails = [_build_exponents(nvars - 2, k) for k in range(total + 1)]
-    return tuple((e, f) + rest for e in range(total, -1, -1)
-                 for f in range(total - e, -1, -1)
-                 for rest in tails[total - e - f])
 
 
 class MonomialBasis:
     """Degree-d monomials in n+1 variables, graded lex, descending."""
 
-    __slots__ = ("n", "degree", "exponents", "_index")
+    __slots__ = ("n", "degree", "exponents")
 
     def __init__(self, n: int, degree: int):
-        if n < 1 or degree < 0:
+        self.n, self.degree = operator.index(n), operator.index(degree)
+        if self.n < 1 or self.degree < 0:
             raise ValueError("need n >= 1 and degree >= 0")
-        self.n = n
-        self.degree = degree
-        self.exponents = _exponents(n + 1, degree)
-        self._index = {e: i for i, e in enumerate(self.exponents)}
+        self.exponents = _exponents(self.n + 1, self.degree)
 
     def __len__(self):
         return len(self.exponents)
 
-    def index(self, e: tuple[int, ...]) -> int:
-        return self._index[e]
+    def index(self, e: Sequence[int]) -> int:
+        """Position of x^e in the basis; KeyError if it is not there."""
+        hit = np.flatnonzero((self.exponents == np.asarray(e)).all(axis=1))
+        if not hit.size:
+            raise KeyError(tuple(e))
+        return int(hit[0])
 
     def weights(self, alpha: DiagonalOnePS) -> list[int]:
-        """<w, e> for each monomial, in basis order."""
+        """<w, e> for each monomial, in basis order, as Python ints."""
         w = alpha.weights
         if len(w) != self.n + 1:
             raise ValueError("weight vector length mismatch")
-        return [sum(wi * ei for wi, ei in zip(w, e)) for e in self.exponents]
+        # in int64 when every partial sum is at most max|w| d < 2^62
+        if max(map(abs, w)) * max(self.degree, 1) < 1 << 62:
+            return (self.exponents @ np.array(w, dtype=np.int64)).tolist()
+        return (self.exponents.astype(object)
+                @ np.array(w, dtype=object)).tolist()
 
     def evaluate(self, coords: Sequence[Fraction]) -> list[Fraction]:
         """Value of every monomial at the given coordinates."""
         if len(coords) != self.n + 1:
             raise ValueError("coordinate length mismatch")
-        vals = []
-        for e in self.exponents:
-            v = Fraction(1)
-            for c, k in zip(coords, e):
-                if k:
-                    v *= Fraction(c) ** k
-            vals.append(v)
-        return vals
+        coords = [Fraction(c) for c in coords]
+        return [math.prod(map(pow, coords, e), start=Fraction(1))
+                for e in self.exponents.tolist()]
 
 
 def fat_point_length(n: int, a: int) -> int:
@@ -168,9 +144,8 @@ def _int_jet_rows(p: ProjectivePoint, order: int,
     nums = _primitive(p.coords)
     den = nums.pop(piv)
     d = basis.degree
-    exps = np.array(basis.exponents, dtype=np.intp)
-    betas = np.array([b for o in range(order) for b in _exponents(basis.n, o)],
-                     dtype=np.intp).reshape(-1, basis.n)
+    exps = basis.exponents
+    betas = np.concatenate([_exponents(basis.n, o) for o in range(order)])
     den_pow = np.array([den ** k for k in range(d + order)], dtype=object)
     rows = den_pow[exps[:, piv] + betas.sum(axis=1)[:, None]]
     for v, e, b in zip(nums, np.delete(exps, piv, axis=1).T, betas.T):

@@ -35,7 +35,6 @@ last sample.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
@@ -47,16 +46,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PolynomialityFailed, RankDrop, VerificationFailed
-from .exactcore import (PolyT, _full_row_rank, _primitive, _rref, _solve,
+from .exactcore import (PolyT, _full_row_rank, _primitive, _solve,
                         graded_limit, int_rank_profile, interpolate_poly,
                         poly_eval, rank_kernel)
 from .geometry import (DiagonalOnePS, ProjectivePoint, WeightedCycle,
                        chow_multiplicities, collision_clusters, normalize_cycle)
 from .hilbert import (ExpansionCoeffs, FatPointSpec, MonomialBasis,
-                      _exponents, _int_jet_rows, base_coeffs, fat_point_length,
+                      _int_jet_rows, base_coeffs, fat_point_length,
                       futaki_from_coeffs, jet_vanishing_matrix, lifting_shift,
                       predicted_central_coeffs)
-from .stability import chow_weight
+from .stability import _flat_keys, chow_weight
 
 __all__ = [
     "SectionFamily",
@@ -239,10 +238,11 @@ def _split_summary(cycle: WeightedCycle, alpha: DiagonalOnePS, degree: int,
     A single support point of mass a gives Z_{0,q} = (r a) q, and GL of
     q's weight space, which commutes with alpha, moves q to e_i: its
     weights are mu (d - k) + sum_{j != i} w_j b_j over the multi-indices b
-    on the other coordinates with |b| = k < r a.  A cluster's weights come
-    from graded_limit of its own jets at degree D = r M_q - 1, where both
-    the cluster and (r M_q) q impose independent conditions, shifted by
-    mu (d - D).  The lengths and the dimension are checked against the
+    on the other coordinates with |b| = k < r a: as r a <= d + 1, those
+    of the degree-d monomials with e_i > d - r a.  A cluster's weights
+    come from graded_limit of its own jets at degree D = r M_q - 1, where
+    both the cluster and (r M_q) q impose independent conditions, shifted
+    by mu (d - D).  The lengths and the dimension are checked against the
     fat-point lengths; a mismatch raises VerificationFailed.
 
     A sample below the bound that passes the line count but fails the
@@ -262,22 +262,24 @@ def _split_summary(cycle: WeightedCycle, alpha: DiagonalOnePS, degree: int,
     basis = MonomialBasis(n, degree)
     if not _fat_points_independent(fat, basis):
         return None
-    counts = Counter(basis.weights(alpha))
+    weights = np.array(basis.weights(alpha), dtype=object)
+    counts = Counter(weights.tolist())
     for q, members in clusters.items():
-        mu = alpha.weights[q.pivot_index]
         if len(members) == 1:
-            local = _fat_point_weights(q, fat[q], alpha)
+            # the weights of the monomials that (r a) q at e_i kills
+            kill = basis.exponents[:, q.pivot_index] > degree - fat[q]
+            local = Counter(weights[kill].tolist())
         else:
             local = _cluster_weights(
                 WeightedCycle(cycle.ambient,
                               tuple((p, mass[p]) for p in members)),
-                alpha, r, mu)
+                alpha, r, alpha.weights[q.pivot_index], degree)
         length = sum(fat_point_length(n, r * mass[p]) for p in members)
         if sum(local.values()) != length:
             raise VerificationFailed(
                 f"limit scheme at {q} has length {sum(local.values())}, "
                 f"its fat points {length}")
-        counts.subtract({mu * degree + c: k for c, k in local.items()})
+        counts.subtract(local)
     graded = {c: k for c, k in counts.items() if k}
     dim = sum(graded.values())
     want = math.comb(degree + n, n) - sum(
@@ -308,47 +310,38 @@ def _fat_points_independent(fat: dict[ProjectivePoint, int],
         return True
     if max(fat.values()) > degree + 1:
         return False
-    pts = [_primitive(q.coords) for q in fat]
+    # each line through two of the points, with all the points on it
     masses = list(fat.values())
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        on_line = sum(m for v, m in zip(pts, masses)
-                      if _rref([pts[i][:], pts[j][:], v[:]])[0] == 2)
-        if on_line > degree + 1:
-            return False
-    exps = np.array(basis.exponents, dtype=np.intp).reshape(-1, basis.n + 1)
+    lines: dict = {}
+    for idx, (rank, w) in _flat_keys([_primitive(q.coords) for q in fat], 2):
+        if rank == 2:
+            lines.setdefault(w, set()).update(idx)
+    if any(sum(masses[i] for i in on_line) > degree + 1
+           for on_line in lines.values()):
+        return False
     keep = np.ones(len(basis), dtype=bool)
     rows = []
     for q, m in fat.items():
         if len(q.support()) == 1:
-            keep &= exps[:, q.pivot_index] <= degree - m
+            keep &= basis.exponents[:, q.pivot_index] <= degree - m
         else:
             rows.append(_int_jet_rows(q, m, basis))
     return not rows or _full_row_rank(np.concatenate(rows)[:, keep])
 
 
-def _fat_point_weights(q: ProjectivePoint, m: int,
-                       alpha: DiagonalOnePS) -> Counter:
-    """Weights of O_{m q}, relative to q's weight mu: sum_j (w_j - mu) b_j
-    over the multi-indices b on the coordinates j != q.pivot_index with
-    |b| < m."""
-    i = q.pivot_index
-    mu = alpha.weights[i]
-    rel = [w - mu for j, w in enumerate(alpha.weights) if j != i]
-    return Counter(sum(v * e for v, e in zip(rel, b))
-                   for k in range(m) for b in _exponents(len(rel), k))
-
-
 def _cluster_weights(cluster: WeightedCycle, alpha: DiagonalOnePS, r: int,
-                     mu: int) -> Counter:
-    """Weights of the limit scheme of a cluster reaching a point of weight
-    mu, relative to mu: S_D minus the graded limit at D = r M_q - 1."""
-    degree = r * cluster.total_mass() - 1
-    weights = MonomialBasis(cluster.ambient.n, degree).weights(alpha)
+                     mu: int, degree: int) -> Counter:
+    """Weights in degree `degree` of the limit scheme of a cluster reaching
+    a point of weight mu: S_D minus the graded limit at D = r M_q - 1,
+    shifted by mu (degree - D)."""
+    low = r * cluster.total_mass() - 1
+    weights = MonomialBasis(cluster.ambient.n, low).weights(alpha)
     _, graded, _ = graded_limit(
-        jet_vanishing_matrix(FatPointSpec(cluster, degree, r)), weights)
+        jet_vanishing_matrix(FatPointSpec(cluster, low, r)), weights)
     local = Counter(weights)
     local.subtract(graded)
-    return Counter({c - mu * degree: k for c, k in local.items() if k})
+    return Counter({c + mu * (degree - low): k
+                    for c, k in local.items() if k})
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from chowstab import (Ambient, DiagonalOnePS, ExpansionCoeffs, FatPointSpec,
                       level_weight, lifting_shift, line_weight,
                       mumford_weight, normalize_cycle,
                       predicted_central_coeffs, section_trace)
-from chowstab import hilbert
 from chowstab.hilbert import _exponents, _int_jet_rows, jet_vanishing_matrix
+from jet_reference import exponents as reference_exponents
 from jet_reference import reference_jet_matrix, reference_jet_rows
 
 P1 = Ambient.projective(1)
@@ -89,52 +89,70 @@ class TestMonomialBasis:
     def test_size_and_extremes(self):
         b = MonomialBasis(2, 3)
         assert len(b) == math.comb(5, 2) == 10
-        assert b.exponents[0] == (3, 0, 0)
-        assert b.exponents[-1] == (0, 0, 3)
-        assert all(sum(e) == 3 for e in b.exponents)
+        assert b.exponents.shape == (10, 3)
+        assert b.exponents[0].tolist() == [3, 0, 0]
+        assert b.exponents[-1].tolist() == [0, 0, 3]
+        assert (b.exponents.sum(axis=1) == 3).all()
+
+    def test_exponents_are_read_only(self):
+        with pytest.raises(ValueError):
+            MonomialBasis(2, 3).exponents[0, 0] = 1
 
     def test_index_roundtrip(self):
         b = MonomialBasis(3, 2)
-        for i, e in enumerate(b.exponents):
-            assert b.index(e) == i
+        for i, e in enumerate(b.exponents.tolist()):
+            assert b.index(tuple(e)) == i
+        with pytest.raises(KeyError):
+            b.index((1, 1, 1, 0))
 
     def test_weights(self):
         b = MonomialBasis(1, 2)
-        assert b.exponents == ((2, 0), (1, 1), (0, 2))
+        assert b.exponents.tolist() == [[2, 0], [1, 1], [0, 2]]
         assert b.weights(DiagonalOnePS((1, -1))) == [2, 0, -2]
+
+    @pytest.mark.parametrize("w", [
+        (1, -1, 2),
+        # max|w| * d = 2^62 - 4, the largest in int64, then past 2^62
+        ((1 << 62) // 5, -3, 7),
+        ((1 << 62) // 5 + 1, -3, 7),
+        (-((1 << 62) // 5) - 1, 1 << 40, 0),
+        (10 ** 30, -10 ** 30, 1),
+        (-10 ** 30, 3, 10 ** 30 + 1),
+    ])
+    def test_weights_are_exact_across_the_int64_switch(self, w):
+        b = MonomialBasis(2, 5)
+        got = b.weights(DiagonalOnePS(w))
+        want = [sum(wi * ei for wi, ei in zip(w, e))
+                for e in reference_exponents(3, 5)]
+        assert got == want
+        assert all(type(x) is int for x in got)
+
+    def test_weights_at_degree_zero_with_large_weights(self):
+        assert MonomialBasis(1, 0).weights(DiagonalOnePS((10 ** 30, 1))) == [0]
 
     def test_evaluate(self):
         b = MonomialBasis(1, 2)
         assert b.evaluate([Fraction(2), Fraction(3)]) == [4, 6, 9]
 
-    def test_exponents_match_the_recursive_definition(self):
-        # the first exponent runs from total down to 0, each followed by
-        # the exponents of the rest in the same order
-        def recursive(nvars, total):
-            if nvars == 1:
-                return [(total,)]
-            return [(e,) + rest for e in range(total, -1, -1)
-                    for rest in recursive(nvars - 1, total - e)]
+    def test_evaluate_is_exact_past_int64(self):
+        got = MonomialBasis(1, 3).evaluate([2 ** 40, 1])
+        assert got == [2 ** 120, 2 ** 80, 2 ** 40, 1]
+        assert all(type(v) is Fraction for v in got)
 
+    def test_float_sizes_are_refused(self):
+        with pytest.raises(TypeError):
+            MonomialBasis(2, 2.0)
+        with pytest.raises(TypeError):
+            MonomialBasis(2.0, 2)
+
+    def test_exponents_match_the_recursive_definition(self):
         for nvars in range(1, 6):
             for total in range(9):
-                assert list(_exponents(nvars, total)) == \
-                    recursive(nvars, total)
-
-    def test_exponent_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(hilbert, "_EXPONENT_CACHE_LIMIT", 100)
-        monkeypatch.setattr(hilbert, "_exponent_cache",
-                            type(hilbert._exponent_cache)())
-        small = _exponents(3, 8)                     # 45 monomials
-        assert _exponents(3, 8) is small
-        _exponents(2, 40)                            # 41 more: 86 held
-        assert _exponents(3, 8) is small
-        big = _exponents(3, 20)                      # 231: never kept
-        assert len(big) == math.comb(22, 2)
-        assert (3, 20) not in hilbert._exponent_cache
-        _exponents(3, 9)                             # 55 more: evicts (2, 40)
-        assert list(hilbert._exponent_cache) == [(3, 8), (3, 9)]
-        assert sum(map(len, hilbert._exponent_cache.values())) <= 100
+                got = _exponents(nvars, total)
+                assert got.shape == (math.comb(total + nvars - 1, nvars - 1),
+                                     nvars)
+                assert [tuple(e) for e in got.tolist()] == \
+                    reference_exponents(nvars, total)
 
     def test_validation(self):
         with pytest.raises(ValueError):

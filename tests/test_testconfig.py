@@ -7,6 +7,7 @@ forms checked against the implementation on disjoint gamma windows.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from math import comb, isqrt
 from pathlib import Path
@@ -20,8 +21,8 @@ from chowstab import (Ambient, ChowstabError, DiagonalOnePS, ExpansionCoeffs,
                       MonomialBasis, PolynomialityFailed, ProjectivePoint,
                       TestConfigSpec, ZeroLeadingCoefficient,
                       central_fibre_cycle, central_fibre_sections,
-                      df_invariant, expansion_comparison, lifting_shift,
-                      normalize_cycle, section_trace)
+                      collision_clusters, df_invariant, expansion_comparison,
+                      lifting_shift, normalize_cycle, section_trace)
 from chowstab import exactcore, testconfig
 from chowstab.errors import VerificationFailed
 from chowstab.exactcore import PolyT, graded_limit, limit_subspace
@@ -32,6 +33,7 @@ from chowstab.testconfig import (_central_summary, _split_summary,
 from df_reference import eager_df_invariant
 from fibre_reference import (checked_fibre, reference_vanishing_orders,
                              span_equal)
+from jet_reference import fat_point_weights
 
 P1 = Ambient.projective(1)
 P2 = Ambient.projective(2)
@@ -76,8 +78,8 @@ class TestMovingSectionFamily:
             tuple([z, z, z, z, PolyT.const(1), z]),
             tuple([z, z, PolyT.t_power(1, -1), z, z, PolyT.const(1)]),
         )
-        assert basis.exponents == ((2, 0, 0), (1, 1, 0), (1, 0, 1),
-                                   (0, 2, 0), (0, 1, 1), (0, 0, 2))
+        assert basis.exponents.tolist() == [[2, 0, 0], [1, 1, 0], [1, 0, 1],
+                                            [0, 2, 0], [0, 1, 1], [0, 0, 2]]
         assert fam.basis == expect
 
     def test_vectors_vanish_on_moved_points(self):
@@ -90,7 +92,7 @@ class TestMovingSectionFamily:
             coeffs = [p(t0) for p in v]
             for pt in moved:
                 val = sum(c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2]
-                          for c, e in zip(coeffs, basis.exponents))
+                          for c, e in zip(coeffs, basis.exponents.tolist()))
                 assert val == 0
 
     def test_single_moving_point(self):
@@ -326,18 +328,35 @@ def test_rank_check_sends_special_fat_points_to_the_global_route():
 
 
 def test_split_self_check_raises(monkeypatch):
-    # a closed form that loses one weight no longer adds up to the
-    # fat-point lengths
-    real = testconfig._fat_point_weights
-
-    def short(q, m, alpha):
-        local = real(q, m, alpha)
-        local[min(local)] -= 1
-        return local
-
-    monkeypatch.setattr(testconfig, "_fat_point_weights", short)
+    # fat-point lengths one too long no longer match the limit weights
+    real = testconfig.fat_point_length
+    monkeypatch.setattr(testconfig, "fat_point_length",
+                        lambda n, a: real(n, a) + 1)
     with pytest.raises(VerificationFailed):
         _split_summary(COLLINEAR, W112, 8, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_single_point_limit_matches_the_fat_point_weights(data):
+    # one point of mass m <= d + 1 moving to q: the split route removes the
+    # S_d weights of the monomials with e_i > d - m, which must be the
+    # weights of the fat point m q, shifted by mu d
+    n = data.draw(st.integers(1, 4))
+    degree = data.draw(st.integers(0, 6))
+    m = data.draw(st.integers(1, degree + 1))
+    alpha = DiagonalOnePS(tuple(data.draw(
+        st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1))))
+    coords = data.draw(st.lists(_COORD, min_size=n + 1,
+                                max_size=n + 1).filter(any))
+    cycle = normalize_cycle(Ambient.projective(n), [(coords, m)])
+    (q,) = collision_clusters(cycle, alpha)
+    mu = alpha.weights[q.pivot_index]
+    want = Counter(MonomialBasis(n, degree).weights(alpha))
+    want.subtract({mu * degree + c: k
+                   for c, k in fat_point_weights(q, m, alpha).items()})
+    _, _, graded, _ = _split_summary(cycle, alpha, degree, 1)
+    assert graded == {c: k for c, k in want.items() if k}
 
 
 class TestCentralFibreCycle:
