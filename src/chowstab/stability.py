@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import gcd
 from operator import index, mul
 from typing import Iterable, Optional, Sequence
@@ -222,8 +222,9 @@ def _independent_subsets(points: Sequence, max_size: int, extend, root):
 
     For `classify` (`_flat_keys`) the state is the flat's wedge key
     (k, w): `extend` builds the map v -> w ^ v (`_wedge_map`) and each
-    child is one wedge step.  For the search the state is the subset's
-    vectors and frame, and each child is one `_int_frame`.
+    child is one wedge step.  For the search the points are the support
+    indices, the state is the subset's frame (`_pivot`), and each child
+    is one pivot step from its parent's frame.
     """
     layer = [((), root)]
     for size in range(1, min(len(points), max_size) + 1):
@@ -252,39 +253,48 @@ class Destabilizer:
     chow_weight: Fraction
 
 
-def _int_frame(vectors: Sequence[Sequence[int]],
-               points: Sequence[Sequence[int]], n: int
-               ) -> tuple[int, list[int], list[int]]:
-    """Basis of Q^(n+1) adapted to the span of `vectors`, in one elimination.
+def _pivot(state: tuple, j: int) -> Optional[tuple]:
+    """A frame grown by support point j: one fraction-free pivot step.
 
-    The basis is the first independent vectors in order, completed by the
-    first standard vectors e_0, e_1, ... outside their span.  One
-    `_rref` of the columns [vectors | e_0..e_n | points] does it all:
-    its pivot columns are that greedy choice, and each point's reduced
-    column has the zero pattern of its coordinates in the basis, as
-    scaling a column changes neither.  Returns the number of independent
-    vectors, the pivots and each point's support mask, whose bit i is set
-    when its i-th coordinate in the basis is nonzero.
+    A frame is a basis: m chosen support points, then e_i for i in J, the
+    greedy completion (each e_i outside the span V of the chosen points
+    and the e_h, h < i).  Its state is (J, cols): cols[i] is support point
+    i's integer coordinates in the basis, up to a nonzero scalar of its
+    own, so its zero pattern is exact.  The root has J = (0..n) and the
+    primitive points.  Let c = cols[j] and t the last position in J with
+    c[m+t] != 0.  With none, j lies in V: None.  Else, modulo V, j is a
+    combination of the e_J[u] whose last term is at J[t], so e_J[t] is the
+    one e that falls into V + <j> + <e_h, h < J[t]>; the e_J[u], u < t,
+    stay out (a relation would need a multiple of j with no term past
+    J[u]), as do the e_J[u], u > t (j already lies in V + <e_h, h < J[u]>).
+    So J' = J - {J[t]}.  With e_J[t] traded for c's own vector, a multiple
+    of j, a column a with b = a[m+t] becomes, times piv = c[m+t],
+    a_i piv - b c_i for i < m, then b, then a_(m+u) piv - b c_(m+u) for
+    u != t, over its content; at b = 0 only its zero moves to position m.
     """
-    m = len(vectors)
-    std = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
-    cols = list(vectors) + std + list(points)
-    rows = [list(r) for r in zip(*cols)]
-    rank, pivots = _rref(rows)
-    if rank != n + 1:
-        raise VerificationFailed("standard vectors did not complete a basis")
-    masks = [sum(1 << i for i, row in enumerate(rows) if row[c])
-             for c in range(m + n + 1, len(cols))]
-    return sum(c < m for c in pivots), pivots, masks
+    J, cols = state
+    c = cols[j]
+    m = len(c) - len(J)
+    p = next((u for u in range(len(c) - 1, m - 1, -1) if c[u]), None)
+    if p is None:
+        return None
+    piv = c[p]
+    grown = []
+    for a in cols:
+        b = a[p]
+        if b:
+            a = [ai * piv - b * ci for ai, ci in zip(a, c)]
+        a = a[:m] + [b] + a[m:p] + a[p + 1:]
+        g = gcd(*a) if b else 1
+        grown.append([e // g for e in a] if g > 1 else a)
+    return J[:p - m] + J[p - m + 1:], grown
 
 
-def _frame_basis(vectors: Sequence[Sequence[Fraction]], pivots: Sequence[int],
+def _frame_basis(vectors: Sequence[Sequence[Fraction]], J: Sequence[int],
                  n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The basis an `_int_frame` of `vectors` picks, in Fractions."""
-    m = len(vectors)
-    return tuple(tuple(vectors[c]) if c < m else
-                 tuple(Fraction(int(c - m == j)) for j in range(n + 1))
-                 for c in pivots)
+    """A frame's basis in Fractions: the chosen vectors, then e_j, j in J."""
+    return tuple(tuple(v) for v in vectors) + tuple(
+        tuple(Fraction(int(i == j)) for i in range(n + 1)) for j in J)
 
 
 def destabilizer_from_subspace(cycle: WeightedCycle,
@@ -296,29 +306,34 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
     subspace violates the ratio criterion.
     """
     n = cycle.ambient.n
-    support = set(cycle.support())
+    support = cycle.support()
+    where = {p: i for i, p in enumerate(support)}
     for p in subspace.spanning_points:
-        if p not in support:
+        if p not in where:
             raise SubspaceNotSpannedBySupport(f"{p!r} is not a support point")
     k = subspace.dim
     if k > n - 1:
         raise ValueError("subspace must be proper")
-    spanning = [p.coords for p in subspace.spanning_points]
-    independent, pivots, masks = _int_frame(
-        [_primitive(c) for c in spanning],
-        [_primitive(p.coords) for p in cycle.support()], n)
-    if independent != k + 1:
+    # the frame grows by each spanning point in turn, skipping dependent ones
+    frame = (tuple(range(n + 1)), [_primitive(p.coords) for p in support])
+    chosen = []
+    for p in subspace.spanning_points:
+        grown = _pivot(frame, where[p])
+        if grown is not None:
+            frame = grown
+            chosen.append(p.coords)
+    if len(chosen) != k + 1:
         raise VerificationFailed(
-            f"{independent} independent spanning points for dimension {k}")
+            f"{len(chosen)} independent spanning points for dimension {k}")
     ops = DiagonalOnePS(tuple([n - k] * (k + 1) + [-(k + 1)] * (n - k)))
     scaled = 0
     mass_on_v = 0
-    for (_, m), mask in zip(cycle.points, masks):
+    for (_, m), col in zip(cycle.points, frame[1]):
         # a point's weight depends only on its support in the basis
-        bits = [i for i in range(n + 1) if mask >> i & 1]
-        scaled += m * _scaled_weight(ops.weights, bits)
+        scaled += m * _scaled_weight(ops.weights,
+                                     (i for i, x in enumerate(col) if x))
         # p lies in V exactly when it needs no completing basis vector
-        if mask >> (k + 1) == 0:
+        if not any(col[k + 1:]):
             mass_on_v += m
     total = Fraction(scaled, n + 1)
     closed_form = Fraction((n + 1) * mass_on_v
@@ -327,7 +342,7 @@ def destabilizer_from_subspace(cycle: WeightedCycle,
         raise VerificationFailed(
             f"adapted weight {total} differs from the closed form "
             f"{closed_form}")
-    return Destabilizer(ops, _frame_basis(spanning, pivots, n), total)
+    return Destabilizer(ops, _frame_basis(chosen, frame[0], n), total)
 
 
 @dataclass(frozen=True)
@@ -421,6 +436,20 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
 # brute-force oracle over bounded integer weights
 
 
+@cache
+def _sign_tops(n: int) -> tuple[int, ...]:
+    """Bit masks of the +1s of `itertools.product((-1, 1), repeat=n+1)`."""
+    return tuple(sum(1 << i for i, s in enumerate(signs) if s > 0)
+                 for signs in itertools.product((-1, 1), repeat=n + 1))
+
+
+@cache
+def _supersets(nonzero: tuple[bool, ...]) -> tuple[int, ...]:
+    """Every bit mask T over len(nonzero) bits with nonzero[i] -> i in T."""
+    mask = sum(1 << i for i, x in enumerate(nonzero) if x)
+    return tuple(top for top in range(1 << len(nonzero)) if mask & ~top == 0)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     weight: Fraction
@@ -448,11 +477,14 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     order is among the B*s, taken in `itertools.product((-1, 1))` order,
     which is the same lexicographic order.
 
-    Scoring goes by support mask: each frame is its mass per mask.  For a
-    sign vector with +1 on the bits of `top`, min(s_i, i in mask) is +1
-    exactly when the mask has no bit outside `top`, so the score of B*s is
-    B((n+1) sum(+-m) - total*sum(s)), in exact Python ints.  At B = 0
-    every score is 0 and the first (vector, frame) wins, as in the cube.
+    Scoring goes by support mask.  With T the +1 positions of s, min(s_i,
+    i in mask) is +1 exactly when the mask lies in T, so the score of B*s
+    is B((n+1) sum(+-m) - total*sum(s)) = 2B((n+1) M_f(T) - total*|T|),
+    M_f(T) being the mass of the points whose mask in frame f lies in T.
+    Each frame, grown from its parent subset's by one `_pivot` step with
+    no elimination, is scored once: its first maximum over the s beats
+    the best so far when larger, or equal at an earlier s.  At B = 0 every
+    score is 0 and the first vector and frame win, as in the cube.
     """
     bound = index(bound)
     if not cycle.ambient.is_projective:
@@ -462,50 +494,35 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     n = cycle.ambient.n
     support = cycle.support()
     masses = [m for _, m in cycle.points]
-
-    ints = [tuple(_primitive(p.coords)) for p in support]
+    root = (tuple(range(n + 1)), [_primitive(p.coords) for p in support])
+    ints = [tuple(v) for v in root[1]]
     units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
-
-    def extend(state):
-        def grow(v):
-            vectors = state[0] + (v,)
-            independent, pivots, masks = _int_frame(vectors, ints, n)
-            return ((vectors, pivots, masks) if independent == len(vectors)
-                    else None)
-        return grow
-
-    # each distinct basis keeps its first spanning index set, the standard
-    # frame (no support points) first; a frame's independent count decides
-    # whether its subset grows, so each subset costs one elimination.  A
-    # basis is keyed by its vectors as primitive integer tuples, which are
-    # equal exactly when the canonical Fraction coordinates are.
-    frames: dict = {}
-    root = ((), *_int_frame([], ints, n)[1:])
-    subsets = _independent_subsets(ints, n + 1, extend, root)
-    for idx, (_, pivots, masks) in itertools.chain([((), root)], subsets):
-        m = len(idx)
-        key = tuple(ints[idx[c]] if c < m else units[c - m] for c in pivots)
-        frames.setdefault(key, (idx, pivots, masks))
-
-    tables = []
-    for _, _, masks in frames.values():
-        mass_of: dict = {}
-        for mask, m in zip(masks, masses):
-            mass_of[mask] = mass_of.get(mask, 0) + m
-        tables.append(tuple(mass_of.items()))
     total = sum(masses)
-
-    best = None
-    for signs in itertools.product((-1, 1), repeat=n + 1):
-        top = sum(1 << i for i, s in enumerate(signs) if s > 0)
-        shift = total * sum(signs)
-        for f, table in enumerate(tables):
-            up = sum(m if mask & ~top == 0 else -m for mask, m in table)
-            score = bound * ((n + 1) * up - shift)
-            if best is None or score > best[0]:
-                best = (score, signs, f)
-    score, signs, f = best  # there is always a frame: the standard one
-    idx, pivots, _ = list(frames.values())[f]
-    basis = _frame_basis([support[i].coords for i in idx], pivots, n)
-    return SearchResult(Fraction(score, n + 1),
-                        tuple(bound * s for s in signs), basis, idx)
+    tops = _sign_tops(n)
+    shifts = [total * top.bit_count() for top in tops]
+    seen = set()
+    best = None  # (half the score, sign position, idx, J)
+    subsets = _independent_subsets(range(len(support)), n + 1,
+                                   lambda frame: partial(_pivot, frame), root)
+    for idx, (J, cols) in itertools.chain([((), root)], subsets):
+        # a basis is keyed by its vectors as primitive integer tuples; one
+        # reached again (a support point may be a unit vector) is skipped
+        key = tuple(ints[i] for i in idx) + tuple(units[j] for j in J)
+        if key in seen:
+            continue
+        seen.add(key)
+        mass_in = [0] * len(tops)
+        for col, m in zip(cols, masses):
+            for top in _supersets(tuple(map(bool, col))):
+                mass_in[top] += m
+        values = [bound * ((n + 1) * mass_in[top] - shift)
+                  for top, shift in zip(tops, shifts)]
+        value = max(values)
+        position = values.index(value)
+        if best is None or (value, -position) > (best[0], -best[1]):
+            best = (value, position, idx, J)
+    value, position, idx, J = best  # the standard frame is always there
+    top = tops[position]
+    weights = tuple(bound if top >> i & 1 else -bound for i in range(n + 1))
+    basis = _frame_basis([support[i].coords for i in idx], J, n)
+    return SearchResult(Fraction(2 * value, n + 1), weights, basis, idx)

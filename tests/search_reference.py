@@ -4,13 +4,15 @@ reference_search enumerates the same adapted frames as
 exhaustive_ops_search, each from a Fraction elimination in
 _adapted_frame, and scores every weight vector of every frame one point
 at a time, in exact Python integers, keeping the smallest key
-(-score, weight vector, frame order).
+(-score, weight vector, frame order).  _int_frame is the same frame from
+one integer elimination, the reference for stability's pivot step.
 """
 
 import itertools
 from fractions import Fraction
 
 from chowstab.errors import VerificationFailed
+from chowstab.exactcore import _rref
 from chowstab.stability import SearchResult
 from exact_reference import fraction_rref
 
@@ -52,6 +54,28 @@ def _adapted_frame(vectors, points, n):
     basis = tuple(tuple(cols[c]) for c in pivots)
     coords = [[row[c] for row in rows] for c in range(m + n + 1, len(cols))]
     return sum(c < m for c in pivots), basis, coords
+
+
+def _int_frame(vectors, points, n):
+    """The frame of `_adapted_frame` from one integer elimination.
+
+    One `exactcore._rref` of the columns [vectors | e_0..e_n | points]:
+    its pivot columns are the greedy choice, and each point's reduced
+    column has the zero pattern of its coordinates in the basis, as
+    scaling a column changes neither.  Returns the number of independent
+    vectors, the pivots and each point's support mask, whose bit i is set
+    when its i-th coordinate in the basis is nonzero.
+    """
+    m = len(vectors)
+    std = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    cols = list(vectors) + std + list(points)
+    rows = [list(r) for r in zip(*cols)]
+    rank, pivots = _rref(rows)
+    if rank != n + 1:
+        raise VerificationFailed("standard vectors did not complete a basis")
+    masks = [sum(1 << i for i, row in enumerate(rows) if row[c])
+             for c in range(m + n + 1, len(cols))]
+    return sum(c < m for c in pivots), pivots, masks
 
 
 def reference_search(cycle, bound):

@@ -1,11 +1,12 @@
-"""The df benchmark's stored answers hold in the test suite too.
+"""The benchmark's stored answers hold in the test suite too.
 
 perfbench/workloads.py writes the df-p2 and df-p3 documents of a seed and
 checks each op's CLI answer against perfbench/expected/.  Loaded here
 read-only, as test_bench_hooks.py loads tracing.py, it runs those same
 checks on seed 1, round 0: the df, expansion and limit answers must stay
 byte-identical to the stored ones, and the known refusals must stay the
-stored refusals.
+stored refusals.  The corpus-p2 checks run on all 938 configs: each
+verdict, certificate and bounded search answer must be the stored one.
 """
 
 import importlib.util
@@ -37,3 +38,11 @@ def test_df_answers_match_the_stored_ones(monkeypatch, tmp_path, name):
     got = {op.kind: op.check(op.run()) for op in ops}
     assert got == {op.kind: wl.REFUSED if op.kind in refused else wl.OK
                    for op in ops}
+
+
+def test_corpus_answers_match_the_stored_ones(monkeypatch, tmp_path):
+    wl = _workloads(monkeypatch)
+    ops = [op for rnd in wl.build("corpus-p2", 1, False, tmp_path).rounds
+           for op in rnd]
+    assert len(ops) == len(wl.corpus_configs()) == 938
+    assert [op.check(op.run()) for op in ops] == [wl.OK] * len(ops)

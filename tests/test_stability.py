@@ -22,7 +22,7 @@ from chowstab import (Ambient, DiagonalOnePS, ProjectivePoint, Subspace,
 from classify_reference import _fraction_span, reference_classify
 from exact_reference import fraction_rref
 from optimized import run_optimized
-from search_reference import (_adapted_frame, reference_search,
+from search_reference import (_adapted_frame, _int_frame, reference_search,
                               reference_subsets)
 
 P1 = Ambient.projective(1)
@@ -268,12 +268,12 @@ class TestClassify:
             from chowstab.geometry import Ambient, normalize_cycle
             heavy = normalize_cycle(Ambient.projective(2), [
                 ([1, 0, 0], 2), ([0, 1, 0], 1), ([0, 0, 1], 1)])
-            real = stability._int_frame
-            def flipped(vectors, points, n):
-                independent, pivots, masks = real(vectors, points, n)
-                masks[masks.index(1)] |= 1 << n  # the heavy point, in V
-                return independent, pivots, masks
-            stability._int_frame = flipped
+            real = stability._pivot
+            def flipped(frame, j):
+                J, cols = real(frame, j)
+                cols[cols.index([1, 0, 0])][2] = 1  # the heavy point, in V
+                return J, cols
+            stability._pivot = flipped
             try:
                 stability.classify(heavy)
             except VerificationFailed:
@@ -563,6 +563,18 @@ class TestAdaptedFrame:
         monkeypatch.setattr(stability, "_rref", counting)
         return calls
 
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        """Count every pivot step that grows a frame, by its point."""
+        calls = []
+
+        def counting(frame, j, real=stability._pivot):
+            calls.append(j)
+            return real(frame, j)
+
+        monkeypatch.setattr(stability, "_pivot", counting)
+        return calls
+
     @staticmethod
     def _candidates(cycle, max_size):
         """Candidate subsets of the scan: every independent subset of fewer
@@ -574,34 +586,41 @@ class TestAdaptedFrame:
         return sum(len(support) - (idx[-1] + 1 if idx else 0)
                    for idx in parents)
 
-    def test_destabilizer_eliminates_once(self, eliminations):
+    def test_destabilizer_pivots_once_per_spanning_point(self, eliminations,
+                                                         pivots):
+        # the frame is one pivot step per spanning point, no elimination
         for cycle in (HEAVY, COLLINEAR):
             sub = classify(cycle).certificate.subspace
             eliminations.clear()
+            pivots.clear()
             destabilizer_from_subspace(cycle, sub)
-            assert len(eliminations) == 1
+            assert eliminations == []
+            assert pivots == [cycle.support().index(p)
+                              for p in sub.spanning_points]
 
-    def test_search_eliminates_once_per_subset_and_frame(self, eliminations):
+    def test_search_pivots_once_per_candidate(self, eliminations, pivots):
         # collinear support: no subset spans the plane, so every frame needs
-        # standard vectors to complete it
+        # standard vectors to complete it; each candidate subset is its
+        # parent's frame grown by one pivot step, and nothing is eliminated
         for cycle in (COLLINEAR, HEAVY):
             n = cycle.ambient.n
             candidates = self._candidates(cycle, n + 1)
             exhaustive_ops_search(cycle, 1)
-            assert len(eliminations) == candidates + 1
-            eliminations.clear()
+            assert eliminations == []
+            assert len(pivots) == candidates
+            pivots.clear()
 
     def test_classify_scan_eliminates_over_the_integers(self, eliminations):
         # the wedge scan eliminates no candidate subset: one elimination for
         # the support's span, one per boundary flat's Subspace and, for an
-        # unstable cycle, one for the certified Subspace and one for its
-        # destabilizer's frame
+        # unstable cycle, one for the certified Subspace; its destabilizer's
+        # frame is pivot steps
         for cycle in (FOUR_GENERAL, TRIANGLE, COLLINEAR, HEAVY):
             verdict = classify(cycle)
             records = len(verdict.witness_ratios)
             assert eliminations[0] == len(cycle.support())
             assert len(eliminations) == 1 + (
-                records + 2 if verdict.is_unstable else records)
+                records + 1 if verdict.is_unstable else records)
             eliminations.clear()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -614,10 +633,11 @@ class TestAdaptedFrame:
         points = [ProjectivePoint(c) for c in
                   data.draw(st.lists(vec.filter(any), max_size=4))]
         independent, basis, coords = _adapted_frame(vectors, points, n)
-        # the integer frame takes any nonzero multiple of each column
+        # the integer frames take any nonzero multiple of each column
         scaled = [[int(x * 6) for x in v] for v in vectors]
-        int_independent, pivots, masks = stability._int_frame(
-            scaled, [stability._primitive(p.coords) for p in points], n)
+        ints = [stability._primitive(p.coords) for p in points]
+        chosen_idx, J, masks = _folded_frame(scaled, ints, n)
+        assert (len(chosen_idx), J, masks) == _reference_frame(scaled, ints, n)
         # greedy oracle: keep each candidate that raises the rank
         chosen = []
 
@@ -627,12 +647,12 @@ class TestAdaptedFrame:
                     chosen.append(v)
 
         greedy(vectors)
-        assert independent == int_independent == len(chosen)
+        assert independent == len(chosen_idx) == len(chosen)
         greedy([[Fraction(int(i == j)) for j in range(n + 1)]
                 for i in range(n + 1)])
         assert [list(b) for b in basis] == chosen
-        assert [list(b) for b in
-                stability._frame_basis(vectors, pivots, n)] == chosen
+        assert [list(b) for b in stability._frame_basis(
+            [vectors[i] for i in chosen_idx], J, n)] == chosen
         assert len(coords) == len(masks) == len(points)
         oracle = Matrix([[Rational(x) for x in b] for b in chosen]).T
         for p, c, mask in zip(points, coords, masks):
@@ -640,6 +660,72 @@ class TestAdaptedFrame:
                     for j in range(n + 1)] == list(p.coords)
             solved = oracle.LUsolve(Matrix([Rational(x) for x in p.coords]))
             assert mask == sum(1 << i for i, x in enumerate(solved) if x != 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_pivot_matches_integer_elimination_on_wide_entries(self, data):
+        # entries far past 2^62, repeated and dependent vectors, and maybe
+        # no point at all: the fold keeps the reference's frame exactly
+        n = data.draw(st.integers(1, 4))
+        entry = st.one_of(
+            st.sampled_from([0, 0, 1, -1, 2, 3]),
+            st.integers(-10 ** 30, 10 ** 30),
+            st.sampled_from([2 ** 62 - 1, 2 ** 62 + 1, -(2 ** 62) - 1]))
+        vec = st.lists(entry, min_size=n + 1, max_size=n + 1)
+        vectors = data.draw(st.lists(vec, min_size=1, max_size=n + 1))
+        for _ in range(data.draw(st.integers(0, 3))):
+            picks = data.draw(st.lists(st.integers(0, len(vectors) - 1),
+                                       min_size=1, max_size=2))
+            factors = data.draw(st.lists(entry, min_size=len(picks),
+                                         max_size=len(picks)))
+            at = data.draw(st.integers(0, len(vectors)))
+            vectors.insert(at, [sum(f * vectors[i][j]
+                                    for f, i in zip(factors, picks))
+                                for j in range(n + 1)])
+        points = data.draw(st.lists(vec.filter(any), max_size=4))
+        # points on small combinations of the vectors have zero coordinates
+        # in the frame, which one wrongly scaled column shifts
+        small = st.sampled_from([-1, 1, 2])
+        for _ in range(data.draw(st.integers(0, 3))):
+            picks = data.draw(st.lists(st.integers(0, len(vectors) - 1),
+                                       min_size=1, max_size=3, unique=True))
+            factors = [data.draw(small) for _ in picks]
+            planted = [sum(f * vectors[i][j] for f, i in zip(factors, picks))
+                       for j in range(n + 1)]
+            if any(planted):
+                points.append(planted)
+        chosen_idx, J, masks = _folded_frame(vectors, points, n)
+        assert (len(chosen_idx), J, masks) == _reference_frame(
+            vectors, points, n)
+        # a step returns None exactly on a vector in the span so far
+        for j, v in enumerate(vectors):
+            before = [vectors[i] for i in chosen_idx if i < j]
+            rank, _ = fraction_rref([[Fraction(x) for x in w]
+                                     for w in before + [v]])
+            assert (j in chosen_idx) == (rank > len(before))
+
+
+def _folded_frame(vectors, points, n):
+    """(chosen vector indices, J, point masks) of the frame `_pivot` grows
+    by each of `vectors` in turn, over the columns vectors + points."""
+    frame = (tuple(range(n + 1)), [list(v) for v in vectors + points])
+    chosen = []
+    for j in range(len(vectors)):
+        grown = stability._pivot(frame, j)
+        if grown is not None:
+            frame = grown
+            chosen.append(j)
+    J, cols = frame
+    masks = [sum(1 << i for i, x in enumerate(col) if x)
+             for col in cols[len(vectors):]]
+    return chosen, J, masks
+
+
+def _reference_frame(vectors, points, n):
+    """(independent count, J, point masks) of the one-elimination frame."""
+    independent, pivots, masks = _int_frame(vectors, points, n)
+    m = len(vectors)
+    return independent, tuple(c - m for c in pivots if c >= m), masks
 
 
 @st.composite
