@@ -73,13 +73,32 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     if not top.all():
         raise ZeroPoint("zero vector is not a projective point")
     v = v * np.ldexp(1.0, np.minimum(1 - np.frexp(top)[1], 1023))[:, None]
-    return v / np.linalg.norm(v, axis=1)[:, None]
+    return v / _row_norms(v)[:, None]
 
 
-def _moment_sum(u: np.ndarray, m) -> np.ndarray:
-    """Sum of m_i (u_i u_i* - I/dim) over the unit rows u_i."""
-    dim = u.shape[1]
-    return (u.T * m) @ u.conj() - np.sum(m) / dim * np.eye(dim)
+# The two norms are the expressions np.linalg.norm evaluates for a complex
+# array, so they give its bits, without its argument handling on each call.
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1)."""
+    return np.sqrt(np.add.reduce((v.conj() * v).real, axis=1))
+
+
+def _norm(a: np.ndarray) -> np.float64:
+    """np.linalg.norm(a): the Frobenius norm of a matrix."""
+    x = a.ravel(order="K")
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
+def _scalar_part(m, dim: int) -> np.ndarray:
+    """sum(m) I/dim, the part of a moment sum that the points leave fixed."""
+    return np.sum(m) / dim * np.eye(dim)
+
+
+def _moment_sum(u: np.ndarray, m, scalar: np.ndarray) -> np.ndarray:
+    """Sum of m_i (u_i u_i* - I/dim) over the unit rows u_i, given
+    `scalar`, the `_scalar_part` of m."""
+    return (u.T * m) @ u.conj() - scalar
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -131,16 +150,18 @@ class BalanceCycle:
 def moment_map(p) -> np.ndarray:
     """Fubini-Study moment map p p*/|p|^2 - I/(n+1), Hermitian traceless."""
     row = p if isinstance(p, np.ndarray) else [_entry(c) for c in p]
-    return _moment_sum(_unit_rows(np.asarray(row, dtype=complex)[None]), 1.0)
+    u = _unit_rows(np.asarray(row, dtype=complex)[None])
+    return _moment_sum(u, 1.0, _scalar_part(1.0, u.shape[1]))
 
 
 def total_moment(cycle: BalanceCycle) -> np.ndarray:
     """Mass-weighted moment sum of the cycle's points."""
-    return _moment_sum(_unit_rows(cycle.points), cycle.masses)
+    return _moment_sum(_unit_rows(cycle.points), cycle.masses,
+                       _scalar_part(cycle.masses, cycle.n + 1))
 
 
 def _residual(moment: np.ndarray) -> float:
-    return float(np.linalg.norm(moment, "fro"))
+    return float(_norm(moment))
 
 
 def balance_residual(cycle: BalanceCycle) -> float:
@@ -191,11 +212,12 @@ def balance_flow(cycle: BalanceCycle, tol: float = 1e-9,
     step = FIRST_STEP
     base = cur = _read_only(_unit_rows(cycle.points))
     g = np.eye(cycle.n + 1, dtype=complex)
-    m = _moment_sum(cur, mass)
+    scalar = _scalar_part(mass, cycle.n + 1)
+    m = _moment_sum(cur, mass, scalar)
     residual = _residual(m)
     if residual < tol:
-        return FlowReport("converged", residual, float(np.linalg.norm(g)),
-                          0, g, cur, step)
+        return FlowReport("converged", residual, float(_norm(g)), 0, g, cur,
+                          step)
     slack = 8.0 * np.finfo(float).eps
     status = "max_iter"
     stalled = False
@@ -205,8 +227,8 @@ def balance_flow(cycle: BalanceCycle, tol: float = 1e-9,
         while step > _MIN_STEP:
             cand_g = _expm_hermitian(-step * m) @ g
             cand = base @ cand_g.T
-            cand /= np.linalg.norm(cand, axis=1)[:, None]
-            cand_m = _moment_sum(cand, mass)
+            cand /= _row_norms(cand)[:, None]
+            cand_m = _moment_sum(cand, mass, scalar)
             r = _residual(cand_m)
             if r <= residual + slack * max(residual, 1.0):
                 improved = True
@@ -221,11 +243,11 @@ def balance_flow(cycle: BalanceCycle, tol: float = 1e-9,
         if residual < tol:
             status = "converged"
             break
-        if np.linalg.norm(g) > DIVERGENCE_NORM:
+        if _norm(g) > DIVERGENCE_NORM:
             status = "diverged"
             break
-    return FlowReport(status, residual, float(np.linalg.norm(g)),
-                      iterations, g, _read_only(cur), step, stalled)
+    return FlowReport(status, residual, float(_norm(g)), iterations, g,
+                      _read_only(cur), step, stalled)
 
 
 def check_spanning(cycle: BalanceCycle) -> bool:

@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import gcd
-from operator import index, mul
+from operator import index
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import SubspaceNotSpannedBySupport, VerificationFailed
 from .exactcore import _check_shape, _primitive, _rref
@@ -145,97 +147,147 @@ class RatioRecord:
 
 
 @cache
-def _wedge_terms(ncoords: int, k: int) -> tuple:
-    """Index table of the maps w -> (v -> w ^ v) for k-wedges on Q^ncoords.
+def _cofactors(ncoords: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index table (i, s) of the maps w -> (v -> w ^ v) for k-wedges.
 
-    A k-wedge has one entry per k-subset of the coordinates, in
-    lexicographic order.  For each (k+1)-subset T the table lists the
-    terms (t, i, s) of the cofactor expansion (w ^ v)_T = sum s * w_i * v_t:
-    t runs over T, i is the index of T - {t} among the k-subsets and
-    s = (-1)^(k + position of t in T).
+    A k-wedge on Q^ncoords has one entry per k-subset of the coordinates,
+    in lexicographic order.  For each (k+1)-subset T, the cofactor
+    expansion is (w ^ v)_T = sum s * w_i * v_t over t in T, where i is the
+    index of T - {t} among the k-subsets and s = (-1)^(k + position of t
+    in T).  Row T of the two (C(ncoords, k+1), ncoords) arrays holds i and
+    s at column t, and s = 0 for t not in T.  So for k-wedges stacked as
+    the rows of W, W[:, i] * s stacks the matrices of the maps v -> w ^ v.
     """
     index = {sub: i for i, sub in
              enumerate(itertools.combinations(range(ncoords), k))}
-    return tuple(tuple((t, index[T[:j] + T[j + 1:]], (-1) ** (k + j))
-                       for j, t in enumerate(T))
-                 for T in itertools.combinations(range(ncoords), k + 1))
+    subsets = list(itertools.combinations(range(ncoords), k + 1))
+    i = np.zeros((len(subsets), ncoords), dtype=np.intp)
+    s = np.zeros((len(subsets), ncoords), dtype=np.int64)
+    for row, T in enumerate(subsets):
+        for j, t in enumerate(T):
+            i[row, t] = index[T[:j] + T[j + 1:]]
+            s[row, t] = (-1) ** (k + j)
+    i.setflags(write=False)
+    s.setflags(write=False)
+    return i, s
 
 
-def _wedge_map(key: tuple[int, tuple[int, ...]], ncoords: int):
-    """v -> key of the span of a flat and v, for the flat's key (k, w).
-
-    The key of a rank-k flat is k and the primitive wedge w of its
-    spanning vectors, made positive at its first nonzero entry, so two
-    spans share a key exactly when they are equal.  The map v -> w ^ v is
-    built once, as C(ncoords, k+1) integer rows; each v then costs that
-    many dot products, one gcd and one sign fix.  Returns None for v in
-    the flat, where w ^ v = 0.
-    """
-    k, w = key
-    rows = []
-    for terms in _wedge_terms(ncoords, k):
-        row = [0] * ncoords
-        for t, i, s in terms:
-            row[t] = s * w[i]
-        rows.append(row)
-
-    def grow(v):
-        x = [sum(map(mul, row, v)) for row in rows]
-        g = gcd(*x)
-        if g == 0:
-            return None
-        if next(filter(None, x)) < 0:
-            g = -g
-        return k + 1, (tuple(x) if g == 1 else tuple([e // g for e in x]))
-    return grow
+# entries of the wedge products of one block of parents in `_flat_keys`
+_BLOCK = 1 << 18
 
 
 def _flat_keys(vectors: Sequence[Sequence[int]], max_size: int):
-    """Yield (indices, wedge key) for every independent subset of vectors.
+    """Yield (indices, key) for every independent subset of vectors.
 
-    Subsets come as `_independent_subsets` gives them, each keyed by
-    `_wedge_map`'s (k, w).  The wedges are taken in the pivot coordinates
-    of the vectors' span: the span's RREF basis has a unit matrix there,
-    so reading those coordinates maps the span isomorphically onto
-    Q^rank, and its subspaces keep their ranks and their equalities.  A
-    wedge then has C(rank, k) entries, not C(n+1, k): few points in a
-    large ambient space stay cheap.
+    Subsets have at most max_size vectors and come by size, then in
+    lexicographic index order; each one extends an independent subset
+    that is one vector smaller, so a span first shows up with a minimal
+    spanning subset.  The key of a rank-k span is k and the primitive
+    wedge w of its spanning vectors, made positive at its first nonzero
+    entry, so two spans share a key exactly when they are equal; a subset
+    is independent exactly when its wedge is nonzero.
+
+    The wedges are taken in the pivot coordinates of the vectors' span:
+    the span's RREF basis has a unit matrix there, so reading those
+    coordinates maps the span isomorphically onto Q^rank, and its
+    subspaces keep their ranks and their equalities.  A wedge then has
+    C(rank, k) entries, not C(n+1, k): few points in a large ambient space
+    stay cheap.
+
+    The singletons are the primitive vectors.  Each later layer is one
+    integer product (`_wedge_block`): the parents' wedges W, one row each,
+    through the cofactor table (`_cofactors`) give the maps v -> w ^ v,
+    and one product with the vectors gives every parent's wedge with every
+    vector, of which the later indices are kept.  A large layer goes in
+    blocks of parents, each product holding about _BLOCK entries.  Its
+    entries are sums of k+1 terms w_i v_t, so the layer runs in int64
+    while (k+1) max|W| max|V| < 2^63, and on Python ints (dtype object)
+    above that.
     """
+    if max_size < 1:
+        return
     rank, pivots = _rref([list(v) for v in vectors])
     coords = [[v[c] for c in pivots] for v in vectors]
-    # the empty subset spans {0}: rank 0, and its wedge is the number 1
-    return _independent_subsets(coords, max_size,
-                                lambda key: _wedge_map(key, rank), (0, (1,)))
+    parents, wedges = [], []
+    for j, v in enumerate(coords):
+        g = gcd(*v)
+        if g:
+            if next(filter(None, v)) < 0:
+                g = -g
+            w = tuple(v) if g == 1 else tuple([e // g for e in v])
+            yield (j,), (1, w)
+            parents.append((j,))
+            wedges.append(w)
+    if not parents:
+        return
+    # a primitive vector's entries are at most the vector's
+    top = w_top = max(map(abs, itertools.chain.from_iterable(coords)))
+    w = wedges
+    # a subset of more than `rank` vectors is dependent
+    for k in range(1, min(len(coords), max_size, rank)):
+        dtype = np.int64 if (k + 1) * w_top * top < 2 ** 63 else object
+        i, s = _cofactors(rank, k)
+        v = np.array(coords, dtype=dtype).T
+        w = np.asarray(w, dtype=dtype)
+        last = np.array([idx[-1] for idx in parents])
+        # parents go in blocks, so a block's products stay near _BLOCK entries
+        step = max(1, _BLOCK // (len(i) * len(coords)))
+        # the last layer's children are no parents
+        grows = k + 1 < max_size
+        children, grown = [], []
+        for b in range(0, len(parents), step):
+            ps, js, x = _wedge_block(w[b:b + step], v, i, s, last[b:b + step])
+            for p, j, wedge in zip((ps + b).tolist(), js.tolist(), x.tolist()):
+                child = parents[p] + (j,)
+                yield child, (k + 1, tuple(wedge))
+                if grows:
+                    children.append(child)
+            if grows:
+                grown.append(x)
+        if not children:
+            return
+        parents, w = children, np.concatenate(grown)
+        w_top = int(abs(w).max())
 
 
-def _independent_subsets(points: Sequence, max_size: int, extend, root):
-    """Yield (indices, state) for every independent subset of points.
+def _wedge_block(w: np.ndarray, v: np.ndarray, i: np.ndarray, s: np.ndarray,
+                 last: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The independent children of a block of parents, and their wedges.
 
-    Subsets have at most max_size points and come by size, then in
-    lexicographic index order; each one extends an independent subset
-    that is one point smaller, so a span first shows up with a minimal
-    spanning subset.  A subset's state describes its span, and `root` is
-    the empty subset's.  `extend(state)` runs once for each subset that
-    grows and returns `grow`: it takes one later point and returns the
-    grown subset's state, or None when the point lies in the span.  So
-    work shared by a subset's children is done once.
+    w holds the parents' k-wedges as rows, v the vectors as columns and
+    (i, s) is `_cofactors`.  Returns (p, j, x): the pairs, in row order,
+    of a parent p and a vector j after its last index `last[p]` and
+    outside its span, and the rows of x, the primitive wedges w_p ^ v_j,
+    positive at their first nonzero entry.
+    """
+    # (parent, T, j) -> (w_p ^ v_j)_T
+    x = (w[:, i] * s) @ v
+    # from 0: on object arrays a one-entry reduce returns the entry, sign
+    # and all
+    g = np.gcd.reduce(x, axis=1, initial=0)
+    p, j = ((g != 0) & (np.arange(v.shape[1]) > last[:, None])).nonzero()
+    x, g = x[p, :, j], g[p, j]
+    lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
+    x //= (g * np.sign(lead))[:, None]
+    return p, j, x
 
-    For `classify` (`_flat_keys`) the state is the flat's wedge key
-    (k, w): `extend` builds the map v -> w ^ v (`_wedge_map`) and each
-    child is one wedge step.  For the search the points are the support
-    indices, the state is the subset's frame (`_pivot`), and each child
-    is one pivot step from its parent's frame.
+
+def _independent_subsets(count: int, max_size: int, root: tuple):
+    """Yield (indices, frame) for every independent subset of the support.
+
+    The search's walk over subsets of the `count` support points: subsets
+    have at most max_size points and come by size, then in lexicographic
+    index order, each one extending an independent subset that is one
+    point smaller.  `root` is the empty subset's frame, and each child's
+    frame is one `_pivot` step from its parent's, None when the point lies
+    in the parent's span.
     """
     layer = [((), root)]
-    for size in range(1, min(len(points), max_size) + 1):
+    for size in range(1, min(count, max_size) + 1):
         grown = []
-        for idx, state in layer:
-            start = idx[-1] + 1 if idx else 0
-            if start == len(points):
-                continue
-            grow = extend(state)
-            for j in range(start, len(points)):
-                found = grow(points[j])
+        for idx, frame in layer:
+            for j in range(idx[-1] + 1 if idx else 0, count):
+                found = _pivot(frame, j)
                 if found is not None:
                     child = idx + (j,)
                     if size < max_size:
@@ -377,10 +429,11 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
     first nonzero entry.  A subset is independent exactly when its wedge
     is nonzero, and two subsets span the same flat exactly when their
     keys are equal.  A child's wedge is its parent's wedged with one more
-    vector (`_wedge_map`).  Wedges are taken in the coordinates of the
-    support's span (`_flat_keys`), so for a support of rank r each has
-    C(r, k) exact integers.  Only the boundary and certified flats become
-    a `Subspace`, whose rank must be k.
+    vector, and each layer of subsets of one size is one integer product
+    of its parents' wedges with the support (`_flat_keys`).  Wedges are
+    taken in the coordinates of the support's span, so for a support of
+    rank r each has C(r, k) exact integers.  Only the boundary and
+    certified flats become a `Subspace`, whose rank must be k.
     """
     if not cycle.ambient.is_projective:
         raise ValueError("subspace scan needs a projective ambient")
@@ -409,8 +462,9 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
     best = None  # (idx, mass, rank) of the running maximal violator
     # scan order is (dim, spanning idx), so the first maximal ratio wins;
     # mass/rank against total/(n+1) and the best ratio, cross-multiplied
+    masses = [m for _, m in cycle.points]
     for (rank, _), (idx, members) in flats.items():
-        mass = sum(cycle.points[i][1] for i in members)
+        mass = sum(map(masses.__getitem__, members))
         side = (n + 1) * mass - total * rank
         if side == 0:
             boundary.append(record(idx, mass, rank))
@@ -502,8 +556,7 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     shifts = [total * top.bit_count() for top in tops]
     seen = set()
     best = None  # (half the score, sign position, idx, J)
-    subsets = _independent_subsets(range(len(support)), n + 1,
-                                   lambda frame: partial(_pivot, frame), root)
+    subsets = _independent_subsets(len(support), n + 1, root)
     for idx, (J, cols) in itertools.chain([((), root)], subsets):
         # a basis is keyed by its vectors as primitive integer tuples; one
         # reached again (a support point may be a unit vector) is skipped

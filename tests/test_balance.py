@@ -1,5 +1,6 @@
 """Tests for the numerical balancing flow and its exact side conditions."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -15,6 +16,8 @@ from chowstab.balance import (DIVERGENCE_NORM, SPAN_THRESHOLD, BalanceCycle,
                               balance_flow, balance_residual,
                               check_no_common_zero, check_spanning,
                               moment_map, total_moment)
+from balance_reference import reference_flow
+from test_bench_answers import _workloads
 
 P1 = Ambient.projective(1)
 P2 = Ambient.projective(2)
@@ -264,6 +267,68 @@ class TestBalanceFlow:
         # and a negative iteration cap would silently report no work
         with pytest.raises(ValueError, match="max_iter"):
             balance_flow(cyc, max_iter=-5)
+
+
+def _assert_same_report(got, want):
+    """Every field equal, arrays bit for bit."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+class TestFlowMatchesReference:
+    """balance_flow gives the reference loop's FlowReport bit for bit."""
+
+    @pytest.mark.parametrize("name,coords,masses,expect",
+                             CORPUS, ids=[c[0] for c in CORPUS])
+    def test_corpus(self, name, coords, masses, expect):
+        cyc = BalanceCycle.from_raw(coords, masses)
+        for cap in (0, 3, 100000):
+            _assert_same_report(balance_flow(cyc, max_iter=cap),
+                                reference_flow(cyc, max_iter=cap))
+
+    def test_complex_coordinates(self):
+        cyc = BalanceCycle.from_raw(
+            [[[1, 2], [0, -1], 3], [[0.5, 0], 2, [-1, 1]],
+             [1, [0, 1], [2, -3]], [[0, 1], 1, 0], [2, [1, 1], [0, 2]]],
+            [1, 2, 1, 3, 1])
+        for tol in (1e-9, 1e-13):
+            _assert_same_report(balance_flow(cyc, tol=tol),
+                                reference_flow(cyc, tol=tol))
+
+    def test_stall(self):
+        # unstable P^1 cycles with coordinates 1e-8 to 1e4: the residual
+        # flattens out near 1/sqrt(2), and once rounding makes every step
+        # raise it, the step halves down to _MIN_STEP.  Where a stall
+        # falls depends on rounding, so three cases share the check
+        cases = [([[1e-8, 0], [-1, 1e4], [[0, 1], 0]], [5, 5, 1]),
+                 ([[0, 1], [1e-8, 3], [3, 1e-8]], [3, 3, 5]),
+                 ([[1e4, [1, 1]], [1e-8, 2], [2, 1e-8], [1, 1e-8]],
+                  [1, 5, 1, 2])]
+        stalled = []
+        for coords, masses in cases:
+            cyc = BalanceCycle.from_raw(coords, masses)
+            rep = balance_flow(cyc)
+            _assert_same_report(rep, reference_flow(cyc))
+            stalled.append(rep.stalled and rep.status == "max_iter")
+        assert any(stalled)
+
+    def test_classify_wide_cycles(self, monkeypatch):
+        wl = _workloads(monkeypatch)
+        cycles = []
+        for rnd in range(3):
+            for kind, n, count, planted in wl.WIDE_KINDS:
+                pts, _ = wl.wide_points(1, rnd, kind, n, count, planted)
+                cycles.append(BalanceCycle.from_weighted(
+                    normalize_cycle(Ambient.projective(n), pts)))
+        for cyc in cycles[:20]:
+            _assert_same_report(
+                balance_flow(cyc, max_iter=wl.FLOW_MAX_ITER),
+                reference_flow(cyc, max_iter=wl.FLOW_MAX_ITER))
 
 
 class TestCheckSpanning:

@@ -730,16 +730,18 @@ def _reference_frame(vectors, points, n):
 
 @st.composite
 def _planted_supports(draw):
-    """(n, up to 9 coordinate lists on P^n), n in 1..4.
+    """(n, up to 9 coordinate lists on P^n), n in 1..5.
 
-    Coordinates come from a small set of rationals.  After the first
-    points, some are planted on the line through two earlier points or on
-    the plane through three, and some repeat a direction, so that many
-    subsets share a flat or are dependent.
+    Coordinates come from a small set of rationals and +-10^30, which
+    takes the scan's wedges past int64.  After the first points, some are
+    planted on the line through two earlier points or on the plane
+    through three, and some repeat a direction, so that many subsets
+    share a flat or are dependent.
     """
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
     entry = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
-                             Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+                             Fraction(2), Fraction(1, 2), Fraction(-3, 2),
+                             Fraction(10 ** 30), Fraction(-10 ** 30)])
     coords = st.lists(entry, min_size=n + 1, max_size=n + 1).filter(any)
     points = draw(st.lists(coords, min_size=1, max_size=6))
     scale = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
