@@ -11,9 +11,9 @@ from .errors import (ChowstabError, DependentFamily, NonRationalCoordinate,
                      SubspaceNotSpannedBySupport, VerificationFailed,
                      ZeroLeadingCoefficient, ZeroPoint)
 from .exactcore import int_rank_profile, interpolate_poly, poly_eval
-from .geometry import (Ambient, DiagonalOnePS, ProductPoint, ProjectivePoint,
-                       WeightedCycle, chow_multiplicities, collision_clusters,
-                       limit_point, normalize_cycle, project_cycle)
+from .geometry import (Ambient, DiagonalOnePS, ProjectivePoint, WeightedCycle,
+                       chow_multiplicities, collision_clusters, limit_point,
+                       normalize_cycle)
 from .hilbert import (ExpansionCoeffs, FatPointSpec, MonomialBasis,
                       base_coeffs, fat_point_length, futaki_from_coeffs,
                       h0_with_vanishing, level_weight, lifting_shift,
@@ -36,9 +36,9 @@ __all__ = [
     "SubspaceNotSpannedBySupport", "VerificationFailed",
     "ZeroLeadingCoefficient", "ZeroPoint",
     "int_rank_profile", "interpolate_poly", "poly_eval",
-    "Ambient", "DiagonalOnePS", "ProductPoint", "ProjectivePoint",
-    "WeightedCycle", "chow_multiplicities", "collision_clusters",
-    "limit_point", "normalize_cycle", "project_cycle",
+    "Ambient", "DiagonalOnePS", "ProjectivePoint", "WeightedCycle",
+    "chow_multiplicities", "collision_clusters", "limit_point",
+    "normalize_cycle",
     "ExpansionCoeffs", "FatPointSpec", "MonomialBasis", "base_coeffs",
     "fat_point_length", "futaki_from_coeffs", "h0_with_vanishing",
     "level_weight", "lifting_shift", "line_weight",

@@ -222,30 +222,37 @@ def balance_flow(cycle: BalanceCycle, tol: float = 1e-9,
     status = "max_iter"
     stalled = False
     iterations = 0
-    for it in range(1, max_iter + 1):
-        improved = False
-        while step > _MIN_STEP:
-            cand_g = _expm_hermitian(-step * m) @ g
-            cand = base @ cand_g.T
-            cand /= _row_norms(cand)[:, None]
-            cand_m = _moment_sum(cand, mass, scalar)
-            r = _residual(cand_m)
-            if r <= residual + slack * max(residual, 1.0):
-                improved = True
+    # a step too long for the masses overflows exp(-step * mu) or the
+    # candidate's row norms.  A norm of 0 or NaN makes r NaN or infinite,
+    # which fails the residual test; an infinite norm, which zeroes its
+    # row, fails the norm test.  Either way the step halves
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, max_iter + 1):
+            improved = False
+            while step > _MIN_STEP:
+                cand_g = _expm_hermitian(-step * m) @ g
+                cand = base @ cand_g.T
+                norms = _row_norms(cand)
+                cand /= norms[:, None]
+                cand_m = _moment_sum(cand, mass, scalar)
+                r = _residual(cand_m)
+                if (r <= residual + slack * max(residual, 1.0)
+                        and norms.max() < math.inf):
+                    improved = True
+                    break
+                step *= 0.5
+            if not improved:
+                stalled = True
+                iterations = it
                 break
-            step *= 0.5
-        if not improved:
-            stalled = True
+            g, cur, m, residual = cand_g, cand, cand_m, min(residual, r)
             iterations = it
-            break
-        g, cur, m, residual = cand_g, cand, cand_m, min(residual, r)
-        iterations = it
-        if residual < tol:
-            status = "converged"
-            break
-        if _norm(g) > DIVERGENCE_NORM:
-            status = "diverged"
-            break
+            if residual < tol:
+                status = "converged"
+                break
+            if _norm(g) > DIVERGENCE_NORM:
+                status = "diverged"
+                break
     return FlowReport(status, residual, float(_norm(g)), iterations, g,
                       _read_only(cur), step, stalled)
 
@@ -256,7 +263,9 @@ def check_spanning(cycle: BalanceCycle) -> bool:
     Each point's moment map enters as one real row: its diagonal, then the
     (re, im) pairs above the diagonal in row-major order.  Numerical rank
     via singular values with a relative threshold; the target dimension is
-    (n+1)^2 - 1.
+    (n+1)^2 - 1.  N points give N rows, so the check is false whenever
+    N < (n+1)^2 - 1, whatever the configuration: it is not a stability
+    test, and says nothing about a cycle with fewer points.
     """
     u = _unit_rows(cycle.points)
     dim = cycle.n + 1
@@ -280,8 +289,6 @@ def check_no_common_zero(cycle: WeightedCycle) -> bool:
     trace, a nonzero traceless solution, so the check fails exactly when
     the kernel has dimension greater than one.
     """
-    if not cycle.ambient.is_projective:
-        raise ValueError("common-zero check needs a projective ambient")
     if cycle.is_empty:
         return False
     dim = cycle.ambient.n + 1

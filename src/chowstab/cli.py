@@ -83,19 +83,7 @@ def parse_ambient(doc: dict) -> Ambient:
             raise SchemaError("projective dimension must be >= 1",
                               "ambient.projective")
         return Ambient.projective(n)
-    if "product" in amb:
-        dims = amb["product"]
-        if (not isinstance(dims, list) or len(dims) != 2):
-            raise SchemaError("product ambient needs [n1, n2]",
-                              "ambient.product")
-        n1 = _integer(dims[0], "ambient.product[0]")
-        n2 = _integer(dims[1], "ambient.product[1]")
-        if n1 < 1 or n2 < 1:
-            raise SchemaError("product factors must have dimension >= 1",
-                              "ambient.product")
-        return Ambient.product(n1, n2)
-    raise SchemaError("ambient must be {projective: n} or {product: [n1, n2]}",
-                      "ambient")
+    raise SchemaError("ambient must be {projective: n}", "ambient")
 
 
 def _points(doc: dict, width: int):
@@ -124,27 +112,24 @@ def _points(doc: dict, width: int):
 def parse_input(doc: dict) -> tuple[WeightedCycle, Optional[DiagonalOnePS]]:
     """Validated cycle and optional 1-PS from a JSON document."""
     ambient = parse_ambient(doc)
-    if ambient.is_projective:
-        width = nweights = ambient.n + 1
-    else:
-        width, nweights = sum(ambient.dims) + 2, ambient.dims[0] + 1
+    width = ambient.n + 1
     pairs = [([_rational(c, f"{where}.coords[{j}]")
                for j, c in enumerate(coords)], mult)
              for where, coords, mult in _points(doc, width)]
     return (normalize_cycle(ambient, pairs),
-            parse_weights(doc, "weights", nweights))
+            parse_weights(doc, width))
 
 
-def parse_weights(doc: dict, key: str,
-                  length: int) -> Optional[DiagonalOnePS]:
-    raw = doc.get(key)
+def parse_weights(doc: dict, length: int) -> Optional[DiagonalOnePS]:
+    raw = doc.get("weights")
     if raw is None:
         return None
     if not isinstance(raw, list):
-        raise SchemaError("weights must be an integer array", key)
-    ws = tuple(_integer(w, f"{key}[{i}]") for i, w in enumerate(raw))
+        raise SchemaError("weights must be an integer array", "weights")
+    ws = tuple(_integer(w, f"weights[{i}]") for i, w in enumerate(raw))
     if len(ws) != length:
-        raise SchemaError(f"weight vector must have length {length}", key)
+        raise SchemaError(f"weight vector must have length {length}",
+                          "weights")
     return DiagonalOnePS(ws)
 
 
@@ -170,8 +155,6 @@ def _parse_balance_input(doc: dict) -> tuple[BalanceCycle, Optional[WeightedCycl
     the exact cycle too (enables the exact common-zero check).
     """
     ambient = parse_ambient(doc)
-    if not ambient.is_projective:
-        raise SchemaError("balance needs a projective ambient", "ambient")
     n = ambient.n
     coords_list, masses, exact_pairs = [], [], []
     for where, coords, mult in _points(doc, n + 1):
@@ -201,21 +184,10 @@ def _fmt(x) -> str:
     return str(Fraction(x))
 
 
-def emit_point(p) -> list[str]:
-    from .geometry import ProductPoint
-    if isinstance(p, ProductPoint):
-        return [_fmt(c) for part in p.parts for c in part.coords]
-    return [_fmt(c) for c in p.coords]
-
-
 def emit_cycle(cycle: WeightedCycle) -> dict:
     """JSON form of a cycle; parse_input inverts this exactly."""
-    if cycle.ambient.is_projective:
-        amb = {"projective": cycle.ambient.n}
-    else:
-        amb = {"product": list(cycle.ambient.dims)}
-    return {"ambient": amb,
-            "points": [{"coords": emit_point(p), "mult": m}
+    return {"ambient": {"projective": cycle.ambient.n},
+            "points": [{"coords": [_fmt(c) for c in p.coords], "mult": m}
                        for p, m in cycle.points]}
 
 
@@ -315,15 +287,10 @@ def _cmd_destabilize(doc, args) -> tuple[int, dict]:
 def _cmd_chow_weight(doc, args) -> tuple[int, dict]:
     cycle, alpha = parse_input(doc)
     alpha = _require_weights(alpha)
-    if cycle.ambient.is_projective:
-        value = chow_weight(cycle, alpha)
-    else:
-        alpha2 = parse_weights(doc, "weights2", cycle.ambient.dims[1] + 1)
-        value = chow_weight(cycle, alpha, alpha2)
     payload = {
         "command": "chow-weight",
         "weights": list(alpha.weights),
-        "value": _fmt(value),
+        "value": _fmt(chow_weight(cycle, alpha)),
     }
     return 0, payload
 

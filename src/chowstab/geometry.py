@@ -1,4 +1,4 @@
-"""Ambient spaces, rational points, weighted 0-cycles and diagonal 1-PS.
+"""The ambient P^n, rational points, weighted 0-cycles and diagonal 1-PS.
 
 Points carry exact rational homogeneous coordinates and are kept in the
 canonical scaling where the first nonzero coordinate equals 1, so equality
@@ -11,53 +11,37 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import ZeroPoint
 
 __all__ = [
     "Ambient",
     "ProjectivePoint",
-    "ProductPoint",
     "WeightedCycle",
     "DiagonalOnePS",
     "normalize_cycle",
     "chow_multiplicities",
     "limit_point",
     "collision_clusters",
-    "project_cycle",
 ]
 
 
 @dataclass(frozen=True)
 class Ambient:
-    """Either a single projective space or a product of exactly two."""
+    """The projective space P^n, n >= 1."""
 
-    dims: tuple[int, ...]
+    n: int
 
     def __post_init__(self):
-        if len(self.dims) not in (1, 2):
-            raise ValueError("an ambient has one or two factors")
-        if any(d < 1 for d in self.dims):
-            raise ValueError("factor dimensions must be at least 1")
+        n = operator.index(self.n)  # a float dimension raises TypeError
+        if n < 1:
+            raise ValueError("the dimension must be at least 1")
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def projective(cls, n: int) -> "Ambient":
-        return cls((n,))
-
-    @classmethod
-    def product(cls, n1: int, n2: int) -> "Ambient":
-        return cls((n1, n2))
-
-    @property
-    def is_projective(self) -> bool:
-        return len(self.dims) == 1
-
-    @property
-    def n(self) -> int:
-        if not self.is_projective:
-            raise ValueError("product ambient has no single dimension")
-        return self.dims[0]
+        return cls(n)
 
 
 def _coordinate(c) -> Fraction:
@@ -115,31 +99,6 @@ class ProjectivePoint:
         return "[" + ":".join(str(c) for c in self.coords) + "]"
 
 
-class ProductPoint:
-    """A point of a product ambient, one projective point per factor."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, part1: ProjectivePoint, part2: ProjectivePoint):
-        self.parts = (part1, part2)
-
-    def __eq__(self, other):
-        return isinstance(other, ProductPoint) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __lt__(self, other: "ProductPoint"):
-        return (self.parts[0].coords, self.parts[1].coords) < (
-            other.parts[0].coords, other.parts[1].coords)
-
-    def __repr__(self):
-        return f"{self.parts[0]!r} x {self.parts[1]!r}"
-
-
-CyclePoint = Union[ProjectivePoint, ProductPoint]
-
-
 @dataclass(frozen=True)
 class WeightedCycle:
     """A 0-cycle: distinct points with positive integer multiplicities.
@@ -149,13 +108,13 @@ class WeightedCycle:
     """
 
     ambient: Ambient
-    points: tuple[tuple[CyclePoint, int], ...] = ()
+    points: tuple[tuple[ProjectivePoint, int], ...] = ()
 
     @property
     def is_empty(self) -> bool:
         return not self.points
 
-    def support(self) -> tuple[CyclePoint, ...]:
+    def support(self) -> tuple[ProjectivePoint, ...]:
         return tuple(p for p, _ in self.points)
 
     def total_mass(self) -> int:
@@ -165,23 +124,14 @@ class WeightedCycle:
         return len(self.points)
 
 
-def _as_point(ambient: Ambient, coords) -> CyclePoint:
-    if ambient.is_projective:
-        if isinstance(coords, ProjectivePoint):
-            pt = coords
-        else:
-            pt = ProjectivePoint(coords)
-        if pt.dim != ambient.n:
-            raise ValueError(
-                f"point has {pt.dim + 1} coordinates, ambient wants "
-                f"{ambient.n + 1}")
-        return pt
-    n1, n2 = ambient.dims
-    coords = list(coords)
-    if len(coords) != n1 + n2 + 2:
-        raise ValueError("flat product coordinates have the wrong length")
-    return ProductPoint(ProjectivePoint(coords[:n1 + 1]),
-                        ProjectivePoint(coords[n1 + 1:]))
+def _as_point(ambient: Ambient, coords) -> ProjectivePoint:
+    pt = (coords if isinstance(coords, ProjectivePoint)
+          else ProjectivePoint(coords))
+    if pt.dim != ambient.n:
+        raise ValueError(
+            f"point has {pt.dim + 1} coordinates, ambient wants "
+            f"{ambient.n + 1}")
+    return pt
 
 
 def normalize_cycle(ambient: Ambient, raw: Iterable[tuple]) -> WeightedCycle:
@@ -237,8 +187,6 @@ class DiagonalOnePS:
 
 def chow_multiplicities(cycle: WeightedCycle) -> WeightedCycle:
     """Chow masses of the blowup cycle: multiplicity a becomes a**(n-1)."""
-    if not cycle.ambient.is_projective:
-        raise ValueError("chow multiplicities need a projective ambient")
     n = cycle.ambient.n
     pts = tuple((p, m ** (n - 1)) for p, m in cycle.points)
     return WeightedCycle(cycle.ambient, pts)
@@ -264,21 +212,9 @@ def collision_clusters(cycle: WeightedCycle, alpha: DiagonalOnePS
 
     Keys are sorted by coordinates; members keep their cycle order.
     """
-    if not cycle.ambient.is_projective:
-        raise ValueError("collision clusters need a projective ambient")
     groups: dict[ProjectivePoint, list[ProjectivePoint]] = {}
     for p, _ in cycle.points:
         q = limit_point(p, alpha)
         groups.setdefault(q, []).append(p)
     return {q: tuple(groups[q]) for q in sorted(groups)}
 
-
-def project_cycle(cycle: WeightedCycle, factor: int) -> WeightedCycle:
-    """Push a product cycle down to one factor, merging collisions."""
-    if cycle.ambient.is_projective:
-        raise ValueError("projection needs a product ambient")
-    if factor not in (1, 2):
-        raise ValueError("factor must be 1 or 2")
-    target = Ambient.projective(cycle.ambient.dims[factor - 1])
-    raw = [(p.parts[factor - 1], m) for p, m in cycle.points]
-    return normalize_cycle(target, raw)

@@ -114,8 +114,6 @@ class FatPointSpec:
     r: int = 1
 
     def __post_init__(self):
-        if not self.cycle.ambient.is_projective:
-            raise ValueError("fat point conditions need a projective ambient")
         if self.degree < 0 or self.r < 1:
             raise ValueError("need degree >= 0 and r >= 1")
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import SubspaceNotSpannedBySupport, VerificationFailed
 from .exactcore import _check_shape, _primitive, _rref
-from .geometry import (DiagonalOnePS, ProductPoint, ProjectivePoint,
-                       WeightedCycle)
+from .geometry import DiagonalOnePS, ProjectivePoint, WeightedCycle
 
 __all__ = [
     "mumford_weight",
@@ -57,29 +56,10 @@ def mumford_weight(x: ProjectivePoint, alpha: DiagonalOnePS) -> Fraction:
     return Fraction(_scaled_weight(w, x.support()), len(w))
 
 
-def chow_weight(cycle: WeightedCycle, alpha: DiagonalOnePS,
-                alpha2: Optional[DiagonalOnePS] = None) -> Fraction:
-    """Total Chow weight: multiplicity-weighted sum of Mumford weights.
-
-    On a product ambient the 1-PS acts on the first factor and `alpha2`
-    (trivial when omitted) on the second; the weight of a pair of points
-    under the degree (1,1) embedding is the sum of the factor weights.
-    """
-    if cycle.ambient.is_projective:
-        if alpha2 is not None:
-            raise ValueError("second weight vector needs a product ambient")
-        return sum((m * mumford_weight(p, alpha) for p, m in cycle.points),
-                   Fraction(0))
-    n1, n2 = cycle.ambient.dims
-    if alpha2 is None:
-        alpha2 = DiagonalOnePS.trivial(n2 + 1)
-    total = Fraction(0)
-    for p, m in cycle.points:
-        if not isinstance(p, ProductPoint):
-            raise VerificationFailed(f"{p!r} is not a point of the product")
-        total += m * (mumford_weight(p.parts[0], alpha)
-                      + mumford_weight(p.parts[1], alpha2))
-    return total
+def chow_weight(cycle: WeightedCycle, alpha: DiagonalOnePS) -> Fraction:
+    """Total Chow weight: multiplicity-weighted sum of Mumford weights."""
+    return sum((m * mumford_weight(p, alpha) for p, m in cycle.points),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +415,6 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
     rank r each has C(r, k) exact integers.  Only the boundary and
     certified flats become a `Subspace`, whose rank must be k.
     """
-    if not cycle.ambient.is_projective:
-        raise ValueError("subspace scan needs a projective ambient")
     n = cycle.ambient.n
     support = cycle.support()
     total = cycle.total_mass()
@@ -541,8 +519,6 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     score is 0 and the first vector and frame win, as in the cube.
     """
     bound = index(bound)
-    if not cycle.ambient.is_projective:
-        raise ValueError("search needs a projective ambient")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     n = cycle.ambient.n

@@ -108,8 +108,6 @@ def moving_section_family(cycle: WeightedCycle, alpha: DiagonalOnePS,
     returned vector, otherwise RankDrop is raised.  This is the reference
     route to the central fibre; production code uses central_fibre_sections.
     """
-    if not cycle.ambient.is_projective:
-        raise ValueError("test configurations need a projective ambient")
     n = cycle.ambient.n
     if len(alpha.weights) != n + 1:
         raise ValueError("weight vector length mismatch")
@@ -410,8 +408,6 @@ class TestConfigSpec:
     r_samples: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not self.cycle.ambient.is_projective:
-            raise ValueError("test configurations need a projective ambient")
         n = self.cycle.ambient.n
         if len(self.alpha.weights) != n + 1:
             raise ValueError("weight vector length mismatch")

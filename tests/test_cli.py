@@ -55,6 +55,7 @@ FIVE_P4_DOC = {
                {"coords": [1, 1, 0, 0, 0]}, {"coords": [0, 1, 2, 0, 0]},
                {"coords": [1, 0, 1, 1, 0]}, {"coords": [0, 1, 0, 1, 1]}],
 }
+# the product ambient P^1 x P^1, an input form no command reads
 PRODUCT_DOC = {
     "ambient": {"product": [1, 1]},
     "points": [{"coords": [1, 0, 1, 0]}, {"coords": [0, 1, 1, 1], "mult": 2}],
@@ -123,8 +124,6 @@ class TestParsing:
             normalize_cycle(Ambient.projective(2),
                             [(["1/2", 1, 0], 2), ([0, 0, 1], 1)]),
             normalize_cycle(Ambient.projective(1), [([3, 7], 4)]),
-            normalize_cycle(Ambient.product(1, 1),
-                            [([1, 0, 1, 0], 1), ([0, 1, 1, 1], 2)]),
         ]
         for cycle in cycles:
             doc = emit_cycle(cycle)
@@ -250,12 +249,6 @@ class TestChowWeightCommand:
         assert code == 0
         assert payload["value"] == "3"
 
-    def test_product_with_two_weight_vectors(self, tmp_path, capsys):
-        code, payload, _ = run_json(tmp_path, capsys, PRODUCT_DOC,
-                                    ["chow-weight"])
-        assert code == 0
-        assert payload["value"] == "-2"
-
     def test_missing_weights(self, tmp_path, capsys):
         code, _, err = run_json(tmp_path, capsys, STABLE_DOC, ["chow-weight"])
         assert code == 2
@@ -263,7 +256,6 @@ class TestChowWeightCommand:
 
     @pytest.mark.parametrize("doc, key", [
         (dict(COLLINEAR_DOC, weights="[1, 1, -2]"), "weights"),
-        (dict(PRODUCT_DOC, weights2="[3, 1]"), "weights2"),
     ])
     def test_string_weights_refused(self, tmp_path, capsys, doc, key):
         # weights are a JSON array; a string holding one is not read
@@ -307,6 +299,16 @@ class TestExpansionCommand:
                                 ["expansion", "--gamma-range", "8..4"])
         assert code == 2
         assert "range" in err
+
+
+@pytest.mark.parametrize("command", [
+    "check", "destabilize", "chow-weight", "df", "expansion", "limit",
+    "balance",
+])
+def test_product_ambient_refused(tmp_path, capsys, command):
+    code, payload, err = run_json(tmp_path, capsys, PRODUCT_DOC, [command])
+    assert code == 2 and payload is None
+    assert err == "error: ambient: ambient must be {projective: n}\n"
 
 
 @pytest.mark.parametrize("value, message", [

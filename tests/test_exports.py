@@ -11,9 +11,9 @@ EXPORTS = [
     "SubspaceNotSpannedBySupport", "VerificationFailed",
     "ZeroLeadingCoefficient", "ZeroPoint",
     "int_rank_profile", "interpolate_poly", "poly_eval",
-    "Ambient", "DiagonalOnePS", "ProductPoint", "ProjectivePoint",
-    "WeightedCycle", "chow_multiplicities", "collision_clusters",
-    "limit_point", "normalize_cycle", "project_cycle",
+    "Ambient", "DiagonalOnePS", "ProjectivePoint", "WeightedCycle",
+    "chow_multiplicities", "collision_clusters", "limit_point",
+    "normalize_cycle",
     "ExpansionCoeffs", "FatPointSpec", "MonomialBasis", "base_coeffs",
     "fat_point_length", "futaki_from_coeffs", "h0_with_vanishing",
     "level_weight", "lifting_shift", "line_weight",
@@ -31,6 +31,6 @@ EXPORTS = [
 
 
 def test_public_names_are_pinned():
-    assert len(EXPORTS) == 60
+    assert len(EXPORTS) == 58
     assert chowstab.__all__ == EXPORTS
 

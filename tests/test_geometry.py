@@ -8,27 +8,32 @@ import numpy as np
 import pytest
 
 from chowstab.errors import ZeroPoint
-from chowstab.geometry import (Ambient, DiagonalOnePS, ProductPoint,
-                               ProjectivePoint, WeightedCycle,
-                               chow_multiplicities, collision_clusters,
-                               limit_point, normalize_cycle, project_cycle)
+from chowstab.geometry import (Ambient, DiagonalOnePS, ProjectivePoint,
+                               WeightedCycle, chow_multiplicities,
+                               collision_clusters, limit_point,
+                               normalize_cycle)
 
 P2 = Ambient.projective(2)
 
 
 class TestAmbient:
-    def test_dims_decide_the_kind(self):
-        assert Ambient.projective(2) == Ambient((2,))
-        assert Ambient.projective(2).is_projective
-        assert Ambient.product(1, 2) == Ambient((1, 2))
-        assert not Ambient.product(1, 2).is_projective
-        with pytest.raises(ValueError):
-            Ambient.product(1, 2).n
+    def test_one_dimension(self):
+        assert Ambient.projective(2) == Ambient(2)
+        assert Ambient.projective(2).n == 2
+        # a numpy integer is read as the Python int it holds
+        n = Ambient.projective(np.int64(3)).n
+        assert n == 3 and type(n) is int
 
     def test_validation(self):
-        for dims in [(), (1, 1, 1), (0,), (1, 0)]:
+        for n in (0, -1):
             with pytest.raises(ValueError):
-                Ambient(dims)
+                Ambient(n)
+
+    def test_non_integer_dimension_refused(self):
+        # refused when the ambient is built, not deep inside a later scan
+        for n in (2.0, np.float64(2), F(2), "2", None):
+            with pytest.raises(TypeError):
+                Ambient.projective(n)
 
 
 class TestProjectivePoint:
@@ -100,25 +105,6 @@ class TestNormalizeCycle:
             c2 = normalize_cycle(P2, [(list(p.coords), m)
                                       for p, m in c1.points])
             assert c1 == c2
-
-    def test_product_points_from_flat_coordinates(self):
-        amb = Ambient.product(1, 1)
-        cyc = normalize_cycle(amb, [([1, 2, 3, 6], 1)])
-        (p, m), = cyc.points
-        assert isinstance(p, ProductPoint)
-        assert p.parts[0].coords == (1, 2)
-        assert p.parts[1].coords == (1, 2)
-
-    def test_product_points_take_only_flat_coordinates(self):
-        amb = Ambient.product(1, 1)
-        # the (part1, part2) pair is one entry per factor, not four
-        with pytest.raises(ValueError, match="wrong length"):
-            normalize_cycle(amb, [([[1, 2], [3, 6]], 1)])
-        point = normalize_cycle(amb, [([1, 2, 3, 6], 1)]).points[0][0]
-        with pytest.raises(TypeError):
-            normalize_cycle(amb, [(point, 1)])
-        with pytest.raises(ValueError, match="wrong length"):
-            normalize_cycle(amb, [([1, 2, 3], 1)])
 
 
 class TestDiagonalOnePS:
@@ -216,25 +202,3 @@ class TestLimits:
             mult = dict(cyc.points)
             assert sum(mult[p] for ps in clusters.values() for p in ps) == \
                 cyc.total_mass()
-
-
-class TestProjectCycle:
-    def test_projection_merges_fibres(self):
-        amb = Ambient.product(1, 1)
-        cyc = normalize_cycle(amb, [([1, 0, 1, 0], 1), ([1, 0, 0, 1], 2),
-                                    ([0, 1, 1, 1], 1)])
-        first = project_cycle(cyc, 1)
-        assert first.ambient == Ambient.projective(1)
-        masses = {p: m for p, m in first.points}
-        assert masses[ProjectivePoint([1, 0])] == 3
-        assert masses[ProjectivePoint([0, 1])] == 1
-        second = project_cycle(cyc, 2)
-        masses2 = {p: m for p, m in second.points}
-        assert masses2[ProjectivePoint([1, 0])] == 1
-        assert masses2[ProjectivePoint([0, 1])] == 2
-        assert masses2[ProjectivePoint([1, 1])] == 1
-
-    def test_projection_needs_product(self):
-        cyc = normalize_cycle(P2, [([1, 0, 0], 1)])
-        with pytest.raises(ValueError):
-            project_cycle(cyc, 1)

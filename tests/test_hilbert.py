@@ -247,9 +247,6 @@ class TestH0WithVanishing:
             FatPointSpec(COLLINEAR, -1)
         with pytest.raises(ValueError):
             FatPointSpec(COLLINEAR, 2, r=0)
-        prod = normalize_cycle(Ambient.product(1, 1), [([1, 0, 1, 0], 1)])
-        with pytest.raises(ValueError):
-            FatPointSpec(prod, 2)
 
 
 class TestJetVanishingMatrix:

@@ -113,20 +113,6 @@ class TestChowWeight:
             assert chow_weight(cyc, DiagonalOnePS(w)) == chow_weight(
                 cyc, DiagonalOnePS(tuple(wi + c for wi in w)))
 
-    def test_product_ambient_sums_factor_weights(self):
-        amb = Ambient.product(1, 1)
-        cyc = normalize_cycle(amb, [([1, 0, 1, 0], 1), ([0, 1, 1, 1], 2)])
-        # (3, 1) normalizes to (1, -1); contributions 1*(1+1) + 2*(-1-1)
-        assert chow_weight(cyc, DiagonalOnePS((1, -1)),
-                           DiagonalOnePS((3, 1))) == -2
-        # omitted second factor acts trivially
-        assert chow_weight(cyc, DiagonalOnePS((1, -1))) == -1
-
-    def test_second_weight_rejected_on_projective_space(self):
-        with pytest.raises(ValueError):
-            chow_weight(COLLINEAR, DiagonalOnePS((1, 1, -2)),
-                        DiagonalOnePS((1, -1, 0)))
-
 
 class TestSubspace:
     def test_dim_and_containment(self):
@@ -476,10 +462,6 @@ class TestSearchOracle:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             exhaustive_ops_search(HEAVY, -1)
-        amb = Ambient.product(1, 1)
-        cyc = normalize_cycle(amb, [([1, 0, 1, 0], 1)])
-        with pytest.raises(ValueError):
-            exhaustive_ops_search(cyc, 1)
 
     def test_bound_must_be_an_integer(self):
         # refused at the call, never searched with a non-integer B

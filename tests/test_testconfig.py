@@ -121,9 +121,6 @@ class TestMovingSectionFamily:
             moving_section_family(COLLINEAR, W112, 2, 0)
         with pytest.raises(ValueError):
             moving_section_family(COLLINEAR, DiagonalOnePS((1, -1)), 2, 1)
-        prod = normalize_cycle(Ambient.product(1, 1), [([1, 0, 1, 0], 1)])
-        with pytest.raises(ValueError):
-            moving_section_family(prod, DiagonalOnePS((1, -1)), 2, 1)
 
 
 class TestCentralFibre:
@@ -472,9 +469,6 @@ class TestDFInvariant:
             TestConfigSpec(COLLINEAR, W112, 2, (3, 2, 4, 5, 6, 7))
         with pytest.raises(ValueError):
             TestConfigSpec(COLLINEAR, W112, 2, (2, 3, 4, 5, 6))
-        prod = normalize_cycle(Ambient.product(1, 1), [([1, 0, 1, 0], 1)])
-        with pytest.raises(ValueError):
-            TestConfigSpec(prod, DiagonalOnePS((1, -1)), 2)
 
     def test_default_r_samples(self):
         spec = TestConfigSpec(COLLINEAR, W112, 4)
