@@ -3,8 +3,8 @@
 A configuration with Chow masses m_i is balanced when the mass-weighted
 Fubini-Study moment map sums to zero.  This module checks the three
 finite-dimensional conditions (moment sum zero, moment images spanning,
-no common zero of the symmetry algebra) and runs a deterministic
-gradient flow toward a balanced representative.
+no common zero of the symmetry algebra) and looks for a balanced
+representative by damped Newton on Barthe's convex dual.
 
 Everything here is double precision except check_no_common_zero, which
 is an exact rational computation and therefore requires rational input
@@ -36,8 +36,8 @@ __all__ = [
 
 DIVERGENCE_NORM = 1e3
 SPAN_THRESHOLD = 1e-8
-FIRST_STEP = 0.5
-_MIN_STEP = 1e-15
+MAX_MOVE = 16.0      # cap on a step's move in any t_i; 2 MAX_MOVE < log(1/eps)
+ARMIJO = 1e-4        # share of the predicted decrease a step must reach
 
 
 def _finite(x, what: str) -> float:
@@ -169,11 +169,6 @@ def balance_residual(cycle: BalanceCycle) -> float:
     return _residual(total_moment(cycle))
 
 
-def _expm_hermitian(h: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(vals)) @ vecs.conj().T
-
-
 @dataclass(frozen=True, eq=False)
 class FlowReport:
     """Outcome of one balancing run; a plain value object."""
@@ -185,76 +180,185 @@ class FlowReport:
     group_element: np.ndarray
     points: np.ndarray              # (N, n+1) unit rows, read-only
     final_step: float
-    stalled: bool = False
+    stalled: bool
+    objective: float
+
+
+class _Point:
+    """One iterate t, held as f(t), the group element g and the rows u.
+
+    The rows of u are e^(t_i/2) B v_i for a B with B M(t) B* = I, so
+    that sum_i u_i u_i* = I and w, their squared norms, is the gradient
+    of f plus c; g is B scaled to |det| 1.  t itself is never needed:
+    each step moves from u, and f is invariant under t -> t + s, which
+    leaves u and g as they are.  `rounding` bounds the rounding of f.
+    """
+
+    __slots__ = ("f", "g", "u", "w", "rounding")
+
+    def __init__(self, f, g, u):
+        self.f, self.g, self.u = f, g, u
+        self.w = (u.conj() * u).real.sum(axis=1)
+        self.rounding = 64 * np.finfo(float).eps * max(abs(f), 1.0)
+
+
+def _null(vals: np.ndarray) -> np.ndarray:
+    """Which of a Hermitian matrix's ascending eigenvalues are zero to
+    working precision."""
+    return vals <= len(vals) * np.finfo(float).eps * vals[-1]
+
+
+def _moved(cur: _Point, delta: np.ndarray, c: np.ndarray):
+    """The _Point at t + delta; None if M is singular there.
+
+    K = sum_i e^(delta_i) u_i u_i* is M(t + delta) in cur's frame, so
+    K^(-1/2) B is the next B and det M grows by det K.  K's eigenvalues
+    lie between e^(min delta) and e^(max delta): however far the run
+    has gone, each step inverts only a matrix that the cap on delta
+    keeps well conditioned.
+    """
+    vals, vecs = np.linalg.eigh((cur.u.T * np.exp(delta)) @ cur.u.conj())
+    if _null(vals).any():
+        return None
+    logdet = np.log(vals).sum()
+    r = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return _Point(cur.f + logdet - c @ delta,
+                  (r @ cur.g) * np.exp(logdet / (2 * len(vals))),
+                  (cur.u @ r.T) * np.exp(delta / 2)[:, None])
+
+
+def _direction(cur: _Point, c: np.ndarray) -> np.ndarray:
+    """The step along which _step searches.
+
+    A least-squares Newton step, capped at MAX_MOVE, on the
+    eigendirections of the Hessian diag(w) - |G|^2 whose curvature
+    exceeds sqrt(rounding), the point halfway in digits between f's
+    rounding and 1.  At the minimum of a polystable cycle f's curvature
+    is bounded away from zero; the iterates of one whose minimum is not
+    attained escape along a direction whose curvature falls with the
+    gradient.  Where the gradient along the flatter directions still
+    exceeds sqrt(rounding), f keeps falling there (an unstable cycle) and
+    Newton's step is unbounded, so the step is the gradient on them, out
+    to the cap, if that promises the larger decrease.  Where it does
+    not, f levels off (a semistable cycle that is not polystable): the
+    step leaves those directions out, and the run stalls.
+    """
+    grad = cur.w - c
+    vals, vecs = np.linalg.eigh(np.diag(cur.w)
+                                - abs(cur.u.conj() @ cur.u.T) ** 2)
+    coef = grad @ vecs
+    floor = math.sqrt(cur.rounding)
+    curved = vals > floor
+    p = -vecs[:, curved] @ (coef[curved] / vals[curved])
+    p *= min(1.0, MAX_MOVE / abs(p).max(initial=MAX_MOVE))
+    steep = ~curved & (abs(coef) > floor)
+    if steep.any():
+        flat = -vecs[:, steep] @ coef[steep]
+        flat *= MAX_MOVE / abs(flat).max()
+        if grad @ flat < grad @ p:
+            p = flat
+    return p
+
+
+def _step(cur: _Point, p: np.ndarray, c: np.ndarray):
+    """(next _Point, step length) along p, or None for a stall.
+
+    The length halves from 1 until f meets the Armijo test, and the run
+    stalls once the decrease it would predict is below f's rounding.
+    When the full step predicts no more than that, it is taken only if
+    it brings w closer to c by more than the rounding.
+    """
+    slope = (cur.w - c) @ p
+    if -slope <= cur.rounding:
+        nxt = _moved(cur, p, c)
+        if (nxt is not None
+                and _norm(nxt.w - c) < _norm(cur.w - c) - cur.rounding):
+            return nxt, 1.0
+        return None
+    step = 1.0
+    while -step * slope > cur.rounding:
+        nxt = _moved(cur, step * p, c)
+        if nxt is not None and nxt.f <= cur.f + ARMIJO * step * slope:
+            return nxt, step
+        step *= 0.5
+    return None
+
+
+def _unspanned(v: np.ndarray, mass, scalar: np.ndarray) -> FlowReport:
+    """The report for rows that do not span C^(n+1), where f is -inf.
+
+    Its group element is the det-1 element of the one-parameter subgroup
+    that scales the complement of the rows' span against the span, at a
+    power where its norm exceeds DIVERGENCE_NORM.  It moves no point.
+    """
+    vals, vecs = np.linalg.eigh(v.T @ v.conj())
+    null = _null(vals)
+    out = null.sum()
+    scale = 2 * DIVERGENCE_NORM
+    g = (vecs * np.where(null, scale, scale ** (-out / (len(vals) - out)))
+         ) @ vecs.conj().T
+    return FlowReport("diverged", _residual(_moment_sum(v, mass, scalar)),
+                      float(_norm(g)), 0, g, _read_only(v), 1.0, False,
+                      -math.inf)
 
 
 def balance_flow(cycle: BalanceCycle, tol: float = 1e-9,
                  max_iter: int = 100000) -> FlowReport:
-    """Deterministic moment descent g <- exp(-step * mu) g.
+    """Balance the cycle by damped Newton on Barthe's convex dual.
 
-    The step starts at FIRST_STEP and is halved whenever the candidate
-    update would increase the residual beyond rounding noise, so the
-    accepted residual sequence is non-increasing (the baseline is updated
-    with min).  Plateau steps are accepted: near an unattained infimum the
-    residual flatlines in double precision while the group element still
-    drifts, and accepting the drift lets the divergence test fire instead
-    of stalling just under it.  The run stops when the residual drops below
-    tol (converged), when the group element norm exceeds DIVERGENCE_NORM
-    (diverged, the Kempf-Ness infimum is not attained), or at max_iter.  A
-    stall (step underflow with no progress) is reported as max_iter with
-    the stalled flag set.
+    With the unit rows v_i, c_i = (n+1) m_i / T and
+    M(t) = sum_i e^(t_i) v_i v_i*, the function
+    f(t) = log det M(t) - sum_i c_i t_i is convex on R^N, with gradient
+    w - c, w_i = e^(t_i) v_i* M^(-1) v_i.  At a critical point
+    M^(-1/2) balances the cycle, and f attains its minimum exactly when
+    the cycle is polystable (Barthe, Invent. Math. 134, 1998; Kempf and
+    Ness, LNM 732, 1979).  Each step follows _direction, and _step sets
+    its length; f's rounding is 64 eps max(|f|, 1).
+
+    After each step the report's group element g is Q M^(-1/2), Q
+    unitary, scaled to |det| 1, and its points are the unit rows of
+    g v_i.  The run stops converged when their moment sum has Frobenius
+    norm below tol, diverged when the norm of g exceeds DIVERGENCE_NORM
+    (f's minimum is not attained), and otherwise after max_iter steps.
+    A stall, where no step can be told from rounding, stops as max_iter
+    with the stalled flag set.  Rows that do not span C^(n+1) leave M
+    singular for every t, and stop diverged at once.  The report's
+    objective is the final f, bounded below on polystable input.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must not be negative, got {max_iter!r}")
     mass = np.asarray(cycle.masses)
-    step = FIRST_STEP
-    base = cur = _read_only(_unit_rows(cycle.points))
-    g = np.eye(cycle.n + 1, dtype=complex)
-    scalar = _scalar_part(mass, cycle.n + 1)
-    m = _moment_sum(cur, mass, scalar)
-    residual = _residual(m)
-    if residual < tol:
-        return FlowReport("converged", residual, float(_norm(g)), 0, g, cur,
-                          step)
-    slack = 8.0 * np.finfo(float).eps
-    status = "max_iter"
-    stalled = False
-    iterations = 0
-    # a step too long for the masses overflows exp(-step * mu) or the
-    # candidate's row norms.  A norm of 0 or NaN makes r NaN or infinite,
-    # which fails the residual test; an infinite norm, which zeroes its
-    # row, fails the norm test.  Either way the step halves
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for it in range(1, max_iter + 1):
-            improved = False
-            while step > _MIN_STEP:
-                cand_g = _expm_hermitian(-step * m) @ g
-                cand = base @ cand_g.T
-                norms = _row_norms(cand)
-                cand /= norms[:, None]
-                cand_m = _moment_sum(cand, mass, scalar)
-                r = _residual(cand_m)
-                if (r <= residual + slack * max(residual, 1.0)
-                        and norms.max() < math.inf):
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                stalled = True
-                iterations = it
-                break
-            g, cur, m, residual = cand_g, cand, cand_m, min(residual, r)
-            iterations = it
-            if residual < tol:
-                status = "converged"
-                break
-            if _norm(g) > DIVERGENCE_NORM:
-                status = "diverged"
-                break
-    return FlowReport(status, residual, float(_norm(g)), iterations, g,
-                      _read_only(cur), step, stalled)
+    dim = cycle.n + 1
+    v = _unit_rows(cycle.points)
+    scalar = _scalar_part(mass, dim)
+    c = mass / mass.sum() * dim
+    # t = 0 is the move by 0 from the frame of the rows v themselves
+    cur = _moved(_Point(0.0, np.eye(dim), v), np.zeros(len(v)), c)
+    if cur is None:
+        return _unspanned(v, mass, scalar)
+    status, stalled, step, iterations = "max_iter", False, 1.0, 0
+    while True:
+        points = v @ cur.g.T
+        points /= _row_norms(points)[:, None]
+        residual = _residual(_moment_sum(points, mass, scalar))
+        if residual < tol:
+            status = "converged"
+            break
+        if _norm(cur.g) > DIVERGENCE_NORM:
+            status = "diverged"
+            break
+        if iterations == max_iter:
+            break
+        found = _step(cur, _direction(cur, c), c)
+        if found is None:
+            stalled = True
+            break
+        cur, step = found
+        iterations += 1
+    return FlowReport(status, residual, float(_norm(cur.g)), iterations,
+                      cur.g, _read_only(points), step, stalled, cur.f)
 
 
 def check_spanning(cycle: BalanceCycle) -> bool:

@@ -1,18 +1,25 @@
-"""The balancing loop as it stood before its norms were inlined.
+"""The fixed-step moment flow that balance_flow replaced, kept as a reference.
 
-reference_flow is balance_flow with np.linalg.norm for every norm and the
-scalar part sum(m)/dim I of the moment sum rebuilt in every candidate's
-moment.  balance_flow evaluates the same expressions in the same order,
-so the tests require the two FlowReports to be equal bit for bit.
+reference_flow descends on SL(n+1) by g <- exp(-step mu) g, where mu is
+the moment sum of the current rows.  The step starts at FIRST_STEP and
+halves whenever the candidate would raise the residual beyond rounding
+noise; the run stops converged when the residual drops below tol,
+diverged when the norm of g exceeds DIVERGENCE_NORM, and otherwise at
+max_iter, or stalled once the step falls to _MIN_STEP.  Every norm is
+np.linalg.norm.  It minimises no convex function, so its reports carry
+objective NaN.  The tests compare balance_flow's statuses with it where
+it decides.
 """
 
 import math
 
 import numpy as np
 
-from chowstab.balance import (DIVERGENCE_NORM, FIRST_STEP, _MIN_STEP,
-                              FlowReport)
+from chowstab.balance import DIVERGENCE_NORM, FlowReport
 from chowstab.errors import ZeroPoint
+
+FIRST_STEP = 0.5
+_MIN_STEP = 1e-15
 
 
 def _unit_rows(v):
@@ -55,7 +62,7 @@ def reference_flow(cycle, tol=1e-9, max_iter=100000):
     residual = _residual(m)
     if residual < tol:
         return FlowReport("converged", residual, float(np.linalg.norm(g)),
-                          0, g, cur, step)
+                          0, g, cur, step, False, math.nan)
     slack = 8.0 * np.finfo(float).eps
     status = "max_iter"
     stalled = False
@@ -85,4 +92,4 @@ def reference_flow(cycle, tol=1e-9, max_iter=100000):
             status = "diverged"
             break
     return FlowReport(status, residual, float(np.linalg.norm(g)),
-                      iterations, g, _read_only(cur), step, stalled)
+                      iterations, g, _read_only(cur), step, stalled, math.nan)

@@ -1,6 +1,5 @@
-"""Tests for the numerical balancing flow and its exact side conditions."""
+"""Tests for numerical balancing and its exact side conditions."""
 
-import dataclasses
 import itertools
 import math
 import warnings
@@ -13,10 +12,14 @@ from hypothesis import strategies as st
 from sympy import Matrix, Rational
 
 from chowstab import Ambient, ZeroPoint, normalize_cycle
+from chowstab.geometry import chow_multiplicities
+from chowstab.stability import classify
 from chowstab.balance import (DIVERGENCE_NORM, SPAN_THRESHOLD, BalanceCycle,
                               balance_flow, balance_residual,
                               check_no_common_zero, check_spanning,
                               moment_map, total_moment)
+from balance_reference import _moment_sum as _ref_moment_sum
+from balance_reference import _unit_rows as _ref_unit_rows
 from balance_reference import reference_flow
 from test_bench_answers import _workloads
 
@@ -224,15 +227,18 @@ class TestBalanceFlow:
         rep = balance_flow(BalanceCycle.from_raw([[1, 0], [0, 1]], [1, 1]))
         assert rep.status == "converged" and rep.iterations == 0
 
-    def test_residual_is_monotone_in_iterations(self):
+    def test_objective_is_non_increasing_in_max_iter(self):
+        # every step lowers f, except a full step whose predicted
+        # decrease is below f's rounding, which f cannot tell apart
         cyc = BalanceCycle.from_raw([[1, 0], [0, 1], [1, 1], [1, [0, 1]]],
                                     [1, 1, 1, 1])
         prev = None
-        for cap in (1, 3, 8, 20, 50):
+        for cap in (0, 1, 2, 3, 5, 8):
             rep = balance_flow(cyc, max_iter=cap)
             if prev is not None:
-                assert rep.residual_norm <= prev + 1e-15
-            prev = rep.residual_norm
+                rounding = 64 * np.finfo(float).eps * max(abs(prev), 1)
+                assert rep.objective <= prev + rounding
+            prev = rep.objective
 
     def test_flow_is_deterministic(self):
         cyc = BalanceCycle.from_raw([[1, 0, 0], [0, 1, 0], [0, 0, 1],
@@ -252,15 +258,21 @@ class TestBalanceFlow:
                                        atol=1e-12)
 
     def test_pinned_run_with_a_step_halving(self):
-        # values recorded from an earlier build of the flow; a change in
-        # the descent direction or the order of its arithmetic moves them
+        # values recorded from the fixed-step flow, which reference_flow
+        # keeps; a change in its descent direction or the order of its
+        # arithmetic moves them
         cyc = BalanceCycle.from_raw([[1, 0], [0, 1], [1, 1]], [3, 1, 1])
-        rep = balance_flow(cyc)
-        assert (rep.status, rep.iterations, rep.final_step) == (
+        ref = reference_flow(cyc)
+        assert (ref.status, ref.iterations, ref.final_step) == (
             "diverged", 53, 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = balance_flow(cyc)
+        assert rep.status == "diverged" and not rep.stalled
 
     def test_tolerance_validation(self):
-        # the flow stops only on residual < tol, so these would never stop
+        # the run stops converged only on residual < tol, so these would
+        # never stop that way
         cyc = BalanceCycle.from_raw([[1, 0], [0, 1], [1, 1]], [1, 1, 1])
         for tol in (0.0, -1e-9, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol"):
@@ -270,99 +282,207 @@ class TestBalanceFlow:
             balance_flow(cyc, max_iter=-5)
 
 
-def _assert_same_report(got, want):
-    """Every field equal, arrays bit for bit."""
-    for field in dataclasses.fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes(), field.name
-        else:
-            assert type(a) is type(b) and a == b, field.name
+def _rebuilt_residual(cyc, rep):
+    """The residual of the rows g v_i / |g v_i|, rebuilt from the report's
+    group element and the input with the reference's own helpers."""
+    rows = _ref_unit_rows(cyc.points) @ rep.group_element.T
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return float(np.linalg.norm(_ref_moment_sum(rows,
+                                                np.asarray(cyc.masses))))
+
+
+def _assert_agrees(cyc, tol=1e-9, max_iter=100000):
+    """balance_flow's status is reference_flow's wherever the reference
+    decides, and a converged report's rebuilt residual is below tol."""
+    rep = balance_flow(cyc, tol=tol, max_iter=max_iter)
+    with np.errstate(all="ignore"):
+        ref = reference_flow(cyc, tol=tol, max_iter=max_iter)
+    if ref.status != "max_iter":
+        assert rep.status == ref.status
+    if rep.status == "converged":
+        assert _rebuilt_residual(cyc, rep) < tol
+    return rep, ref
+
+
+def _wide_cycles(wl, seed):
+    """The weighted cycles of every classify-wide op of a seed."""
+    cycles = []
+    for rnd in range(wl.ROUNDS):
+        for kind, n, count, planted in wl.WIDE_KINDS:
+            pts, _ = wl.wide_points(seed, rnd, kind, n, count, planted)
+            cycles.append(normalize_cycle(Ambient.projective(n), pts))
+    return cycles
 
 
 class TestFlowMatchesReference:
-    """balance_flow gives the reference loop's FlowReport bit for bit."""
+    """balance_flow decides as the fixed-step flow does where it decides."""
 
     @pytest.mark.parametrize("name,coords,masses,expect",
                              CORPUS, ids=[c[0] for c in CORPUS])
     def test_corpus(self, name, coords, masses, expect):
         cyc = BalanceCycle.from_raw(coords, masses)
         for cap in (0, 3, 100000):
-            _assert_same_report(balance_flow(cyc, max_iter=cap),
-                                reference_flow(cyc, max_iter=cap))
+            _assert_agrees(cyc, max_iter=cap)
 
     def test_complex_coordinates(self):
+        # the point of mass 3 carries more than T/3: the reference stalls
+        # short of its divergence test, balance_flow reaches it
         cyc = BalanceCycle.from_raw(
             [[[1, 2], [0, -1], 3], [[0.5, 0], 2, [-1, 1]],
              [1, [0, 1], [2, -3]], [[0, 1], 1, 0], [2, [1, 1], [0, 2]]],
             [1, 2, 1, 3, 1])
         for tol in (1e-9, 1e-13):
-            _assert_same_report(balance_flow(cyc, tol=tol),
-                                reference_flow(cyc, tol=tol))
+            rep, ref = _assert_agrees(cyc, tol=tol)
+            assert ref.stalled
+            assert rep.status == "diverged" and not rep.stalled
 
     def test_stall(self):
-        # unstable P^1 cycles with coordinates 1e-8 to 1e4: the residual
-        # flattens out near 1/sqrt(2), and once rounding makes every step
-        # raise it, the step halves down to _MIN_STEP.  Where a stall
-        # falls depends on rounding, so three cases share the check
+        # P^1 cycles with coordinates 1e-8 to 1e4.  The reference's
+        # residual flattens near 1/sqrt(2) and its step halves down to
+        # _MIN_STEP; balance_flow decides every one.  The first and last
+        # are unstable; in the second the two points of mass 3 are 3e-9
+        # apart, so its balancing group element lies far beyond
+        # DIVERGENCE_NORM
         cases = [([[1e-8, 0], [-1, 1e4], [[0, 1], 0]], [5, 5, 1]),
                  ([[0, 1], [1e-8, 3], [3, 1e-8]], [3, 3, 5]),
                  ([[1e4, [1, 1]], [1e-8, 2], [2, 1e-8], [1, 1e-8]],
                   [1, 5, 1, 2])]
         stalled = []
         for coords, masses in cases:
-            cyc = BalanceCycle.from_raw(coords, masses)
-            rep = balance_flow(cyc)
-            _assert_same_report(rep, reference_flow(cyc))
-            stalled.append(rep.stalled and rep.status == "max_iter")
+            rep, ref = _assert_agrees(BalanceCycle.from_raw(coords, masses))
+            stalled.append(ref.stalled and ref.status == "max_iter")
+            assert rep.status == "diverged" and not rep.stalled
         assert any(stalled)
 
     @pytest.mark.parametrize("mass, final_step", [
         (1e6, 0.00048828125), (1e9, 4.76837158203125e-07),
     ])
     def test_large_masses_raise_no_warning(self, mass, final_step):
-        # the first steps overflow exp(-step * mu); the reference loop
-        # warns and refuses the NaN residual, balance_flow refuses the
-        # candidate's row norms, and both halve the step
+        # the reference's first steps overflow exp(-step * mu): it warns,
+        # refuses the NaN residual and halves its step.  balance_flow
+        # runs with warnings as errors
         cyc = BalanceCycle.from_raw([[1, 0], [0, 1]], [mass, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = balance_flow(cyc)
         with np.errstate(all="ignore"):
-            _assert_same_report(rep, reference_flow(cyc))
-        assert rep.status == "diverged" and rep.iterations == 1
-        assert rep.final_step == final_step
+            ref = reference_flow(cyc)
+        assert (ref.status, ref.iterations, ref.final_step) == (
+            "diverged", 1, final_step)
+        assert rep.status == "diverged" and not rep.stalled
 
     def test_rows_whose_norms_overflow_are_refused(self):
-        # at step 1/8 every candidate entry is finite (up to 6e162) but
-        # every row norm overflows, so dividing by it zeroes every row.
-        # The reference loop accepts that all-zero candidate, whose
-        # residual sum(m)/sqrt(3) is below the starting one
+        # at step 1/8 every reference candidate entry is finite (up to
+        # 6e162) but every row norm overflows, so dividing by it zeroes
+        # every row, and the reference accepts that all-zero candidate,
+        # whose residual sum(m)/sqrt(3) is below the starting one.
+        # balance_flow never forms such a row
         cyc = BalanceCycle.from_raw([[1, 0, 0], [0, 1, 0], [1, 1, 1]],
                                     [9000, 3, 3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = balance_flow(cyc)
-        assert rep.status == "diverged" and rep.iterations == 5
-        assert rep.final_step == 0.00048828125
+        assert rep.status == "diverged" and not rep.stalled
         assert np.allclose(np.linalg.norm(rep.points, axis=1), 1)
         with np.errstate(all="ignore"):
             ref = reference_flow(cyc)
-        assert ref.final_step == 0.125 and not ref.points.any()
+        assert (ref.status, ref.iterations, ref.final_step) == (
+            "diverged", 1, 0.125)
+        assert not ref.points.any()
 
     def test_classify_wide_cycles(self, monkeypatch):
         wl = _workloads(monkeypatch)
-        cycles = []
-        for rnd in range(3):
-            for kind, n, count, planted in wl.WIDE_KINDS:
-                pts, _ = wl.wide_points(1, rnd, kind, n, count, planted)
-                cycles.append(BalanceCycle.from_weighted(
-                    normalize_cycle(Ambient.projective(n), pts)))
-        for cyc in cycles[:20]:
-            _assert_same_report(
-                balance_flow(cyc, max_iter=wl.FLOW_MAX_ITER),
-                reference_flow(cyc, max_iter=wl.FLOW_MAX_ITER))
+        for cyc in _wide_cycles(wl, 1)[:20]:
+            _assert_agrees(BalanceCycle.from_weighted(cyc),
+                           max_iter=wl.FLOW_MAX_ITER)
+
+
+# strictly semistable P^2 cycles: a polystable frame, whose balanced
+# representative exists, and two that are not polystable, where f is
+# bounded below but its minimum is not attained
+POLYSTABLE_FRAME = ([[1, 2, 3], [0, 1, 0], [0, 1, 5]], [2, 2, 2])
+NOT_POLYSTABLE = [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]], [2, 1, 1, 2]),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, -1, 2]],
+     [1, 2, 1, 1, 1]),
+]
+
+
+class TestNewtonDecides:
+    """Statuses that the fixed-step flow could not reach."""
+
+    def test_classify_wide_cycles_match_exact_verdicts(self, monkeypatch):
+        # the fixed-step flow leaves 12 of the 40 stable seed-1 cycles
+        # at the workload's cap of 100 steps
+        wl = _workloads(monkeypatch)
+        for seed in (1, 2, 3):
+            for cyc in _wide_cycles(wl, seed):
+                verdict = classify(chow_multiplicities(cyc)).status
+                rep = balance_flow(BalanceCycle.from_weighted(cyc),
+                                   max_iter=wl.FLOW_MAX_ITER)
+                assert rep.status == {"stable": "converged",
+                                      "unstable": "diverged"}[verdict]
+
+    def test_polystable_frame_converges(self):
+        rep = balance_flow(BalanceCycle.from_raw(*POLYSTABLE_FRAME))
+        assert rep.status == "converged"
+
+    @pytest.mark.parametrize("coords, masses", NOT_POLYSTABLE)
+    def test_not_polystable_ends_quickly_without_converging(self, coords,
+                                                            masses):
+        # the fixed-step flow runs all 100000 steps on each
+        rep = balance_flow(BalanceCycle.from_raw(coords, masses))
+        assert rep.status != "converged" and rep.iterations < 50
+        assert math.isfinite(rep.objective)
+
+    @pytest.mark.parametrize("name,coords,masses", [
+        (c[0], c[1], c[2]) for c in CORPUS] + [
+        ("frame", *POLYSTABLE_FRAME), ("semistable_a", *NOT_POLYSTABLE[0]),
+        ("semistable_b", *NOT_POLYSTABLE[1])])
+    def test_scaling_the_masses_leaves_every_step(self, name, coords,
+                                                  masses):
+        # c = (n+1) m / T is the same, so every iterate is the same bit
+        # for bit and only the residual scales.  The status and the
+        # iteration count stay, except that a run whose last residual is
+        # within a factor k of tol takes one more step to converge
+        base = balance_flow(BalanceCycle.from_raw(coords, masses))
+        for k in (2, 3, 4, 5):
+            cyc = BalanceCycle.from_raw(coords, [k * m for m in masses])
+            rep = balance_flow(cyc)
+            assert rep.status == base.status
+            late = (base.status == "converged"
+                    and k * base.residual_norm >= 1e-9)
+            assert rep.iterations == base.iterations + late
+            same = balance_flow(cyc, max_iter=base.iterations)
+            assert same.objective == base.objective
+            assert np.array_equal(same.group_element, base.group_element)
+            # the moment sum rounds to about eps k T
+            assert same.residual_norm == pytest.approx(
+                k * base.residual_norm,
+                abs=64 * np.finfo(float).eps * k * sum(masses))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_converged_rows_rebuild_below_tol(self, data):
+        # random complex changes of basis of small integer points, with
+        # real masses: a converged report's group element balances the
+        # input to tol when applied afresh
+        n = data.draw(st.integers(1, 3))
+        coords = data.draw(st.lists(_complex_coords(n), min_size=1,
+                                    max_size=3 * n + 4))
+        masses = data.draw(st.lists(st.floats(0.5, 5.0), min_size=len(coords),
+                                    max_size=len(coords)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        basis = (rng.standard_normal((n + 1, n + 1))
+                 + 1j * rng.standard_normal((n + 1, n + 1)))
+        pts = [[complex(*z) for z in c] for c in coords]
+        moved = [[[z.real, z.imag] for z in basis @ p] for p in pts]
+        cyc = BalanceCycle.from_raw(moved, masses)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = balance_flow(cyc)
+        if rep.status == "converged":
+            assert _rebuilt_residual(cyc, rep) < 1e-9
 
 
 class TestCheckSpanning:
