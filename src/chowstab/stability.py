@@ -252,28 +252,18 @@ def _wedge_block(w: np.ndarray, v: np.ndarray, i: np.ndarray, s: np.ndarray,
     return p, j, x
 
 
-def _independent_subsets(count: int, max_size: int, root: tuple):
-    """Yield (indices, frame) for every independent subset of the support.
+def _flats(keyed: Iterable[tuple]) -> dict:
+    """The flats of a scan: key -> (first spanning subset, members).
 
-    The search's walk over subsets of the `count` support points: subsets
-    have at most max_size points and come by size, then in lexicographic
-    index order, each one extending an independent subset that is one
-    point smaller.  `root` is the empty subset's frame, and each child's
-    frame is one `_pivot` step from its parent's, None when the point lies
-    in the parent's span.
+    `keyed` is `_flat_keys` output, keys by (rank, primitive wedge).  Each
+    support point of a flat lies in one of its spanning subsets, so the
+    members, the union of those subsets, are every support point on it,
+    and the flat keeps its first, minimal spanning subset.
     """
-    layer = [((), root)]
-    for size in range(1, min(count, max_size) + 1):
-        grown = []
-        for idx, frame in layer:
-            for j in range(idx[-1] + 1 if idx else 0, count):
-                found = _pivot(frame, j)
-                if found is not None:
-                    child = idx + (j,)
-                    if size < max_size:
-                        grown.append((child, found))
-                    yield child, found
-        layer = grown
+    flats: dict = {}
+    for idx, key in keyed:
+        flats.setdefault(key, (idx, set()))[1].update(idx)
+    return flats
 
 
 @dataclass(frozen=True)
@@ -322,11 +312,15 @@ def _pivot(state: tuple, j: int) -> Optional[tuple]:
     return J[:p - m] + J[p - m + 1:], grown
 
 
+# the entries of a standard vector, off and on its coordinate
+_UNIT = (Fraction(0), Fraction(1))
+
+
 def _frame_basis(vectors: Sequence[Sequence[Fraction]], J: Sequence[int],
                  n: int) -> tuple[tuple[Fraction, ...], ...]:
     """A frame's basis in Fractions: the chosen vectors, then e_j, j in J."""
     return tuple(tuple(v) for v in vectors) + tuple(
-        tuple(Fraction(int(i == j)) for i in range(n + 1)) for j in J)
+        tuple(_UNIT[i == j] for i in range(n + 1)) for j in J)
 
 
 def destabilizer_from_subspace(cycle: WeightedCycle,
@@ -429,13 +423,7 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
                 f"{rank}")
         return RatioRecord(v, mass, total, Fraction(mass, rank), threshold)
 
-    # flats are keyed by (rank, normalised primitive wedge); each support
-    # point of a flat lies in one of its spanning subsets, and the flat
-    # keeps its first, minimal spanning subset
-    flats: dict = {}
-    ints = [_primitive(p.coords) for p in support]
-    for idx, key in _flat_keys(ints, n):
-        flats.setdefault(key, (idx, set()))[1].update(idx)
+    flats = _flats(_flat_keys([_primitive(p.coords) for p in support], n))
     boundary = []
     best = None  # (idx, mass, rank) of the running maximal violator
     # scan order is (dim, spanning idx), so the first maximal ratio wins;
@@ -465,21 +453,7 @@ def classify(cycle: WeightedCycle) -> StabilityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle over bounded integer weights
-
-
-@cache
-def _sign_tops(n: int) -> tuple[int, ...]:
-    """Bit masks of the +1s of `itertools.product((-1, 1), repeat=n+1)`."""
-    return tuple(sum(1 << i for i, s in enumerate(signs) if s > 0)
-                 for signs in itertools.product((-1, 1), repeat=n + 1))
-
-
-@cache
-def _supersets(nonzero: tuple[bool, ...]) -> tuple[int, ...]:
-    """Every bit mask T over len(nonzero) bits with nonzero[i] -> i in T."""
-    mask = sum(1 << i for i, x in enumerate(nonzero) if x)
-    return tuple(top for top in range(1 << len(nonzero)) if mask & ~top == 0)
+# the best integer weight vector in [-B, B]^(n+1), read off the flats
 
 
 @dataclass(frozen=True)
@@ -490,33 +464,62 @@ class SearchResult:
     basis_points: tuple[int, ...]  # support indices, () for the standard basis
 
 
+def _completion(vectors: Sequence[Sequence[int]], n: int) -> tuple:
+    """(J, units) for the span V of independent integer vectors.
+
+    J holds the e_j that complete V greedily, e_j outside V + <e_h, h < j>:
+    those j that are the last nonzero coordinate of no vector of V.  The
+    bit j of `units` is set when e_j lies in V.  One RREF with the
+    coordinates reversed gives both: its pivots are those last nonzero
+    coordinates, and e_j lies in V exactly when a reduced row is a
+    multiple of it.
+    """
+    rows = [v[::-1] for v in vectors]
+    # one primitive vector is its own reduced form, up to sign
+    pivots = _rref(rows)[1] if len(rows) > 1 else [
+        next(c for c, x in enumerate(rows[0]) if x)]
+    dropped = {n - c for c in pivots}
+    units = sum(1 << (n - c) for row, c in zip(rows, pivots)
+                if sum(map(bool, row)) == 1)
+    return tuple(j for j in range(n + 1) if j not in dropped), units
+
+
 def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     """Maximal Chow weight over all integer weight vectors in [-B, B].
 
     Weight vectors run in coordinates adapted to every independent subset
-    of support points (completed by standard vectors), plus the standard
-    basis itself.  Ties keep the lexicographically smallest weight vector,
-    then the earliest basis.  This is the reference oracle for classify.
+    of at most n+1 support points (in index order, completed greedily by
+    standard vectors), plus the standard basis; frames come by subset
+    size, then in lexicographic order, the standard basis first.  Ties keep
+    the lexicographically smallest weight vector, then the earliest frame.
+    This is the reference oracle for classify.  No frame is scored one
+    weight vector at a time: the answer is read off the scan's flats.
 
-    Only the 2^(n+1) vectors B*s, s in {-1, 1}^(n+1), are scored, and the
-    answer is still the first maximum over the whole cube.  Within one
-    frame the score sum_p m_p((n+1) min(w_i, i in mask_p) - sum(w)) is
-    concave in w, and linear on each order cone w_s1 >= ... >= w_s(n+1).
-    Such a cone meets [-B, B]^(n+1) in a Kuhn simplex whose vertices are
-    B times sign vectors, so in each frame the maximizers form a polytope
-    with vertices among the B*s.  The lexicographically first point of a
-    polytope is a vertex.  So the first maximum in (weight vector, frame)
-    order is among the B*s, taken in `itertools.product((-1, 1))` order,
-    which is the same lexicographic order.
+    Sign vectors.  In one frame the score sum_p m_p((n+1) min(w_i, i in
+    mask_p) - sum(w)) is concave and linear on each order cone, which
+    meets the cube in a Kuhn simplex with vertices B*s, s in {-1, 1}^(n+1).
+    So the frame's lexicographically first maximizer is a B*s.  With T the +1 positions of
+    s, the score of B*s is 2B((n+1) M_f(T) - total*|T|), M_f(T) the mass
+    of the support points in the span V_T of the basis vectors b_t, t in
+    T, and s comes at position sum(2^(n-t), t in T) of the sign vectors
+    in `itertools.product((-1, 1))` order, the lexicographic one.
 
-    Scoring goes by support mask.  With T the +1 positions of s, min(s_i,
-    i in mask) is +1 exactly when the mask lies in T, so the score of B*s
-    is B((n+1) sum(+-m) - total*sum(s)) = 2B((n+1) M_f(T) - total*|T|),
-    M_f(T) being the mass of the points whose mask in frame f lies in T.
-    Each frame, grown from its parent subset's by one `_pivot` step with
-    no elimination, is scored once: its first maximum over the s beats
-    the best so far when larger, or equal at an earlier s.  At B = 0 every
-    score is 0 and the first vector and frame win, as in the cube.
+    The value.  With exc(F) = (n+1) mass(F) - total*rank(F) over the flats
+    F spanned by support points, rank at most n, let V* = max(0, exc(F)).
+    The points in V_T span a flat of mass M_f(T) and rank at most |T|, so
+    no score exceeds 2B V*.  T = {} scores 0, and a flat's first spanning
+    subset scores 2B exc(F) in its frame at T = {0..rank-1}.  So the
+    weight is 2B V*/(n+1).  When V* = 0 or B = 0, T = {} in the standard
+    frame, the first sign vector in the first frame, is the answer.
+
+    The winners.  Otherwise (f, T) reaches 2B V* exactly when V_T is a
+    max-excess flat F: when the b_t, t in T, lie in F and |T| = rank F.
+    Then T = {t : b_t in F}, as at most rank F independent b_t lie in F.
+    A frame's vectors in F are its points that are members of F, then the
+    kept e_j that lie in F (`_completion`).  Each frame's least such
+    position is compared in frame order; a smaller one replaces the best.
+    The winner's J comes from `_pivot` steps over its points, and its
+    support masks must score 2B V* at its T, or VerificationFailed.
     """
     bound = index(bound)
     if bound < 0:
@@ -524,34 +527,70 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     n = cycle.ambient.n
     support = cycle.support()
     masses = [m for _, m in cycle.points]
-    root = (tuple(range(n + 1)), [_primitive(p.coords) for p in support])
-    ints = [tuple(v) for v in root[1]]
-    units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
     total = sum(masses)
-    tops = _sign_tops(n)
-    shifts = [total * top.bit_count() for top in tops]
-    seen = set()
-    best = None  # (half the score, sign position, idx, J)
-    subsets = _independent_subsets(len(support), n + 1, root)
-    for idx, (J, cols) in itertools.chain([((), root)], subsets):
-        # a basis is keyed by its vectors as primitive integer tuples; one
-        # reached again (a support point may be a unit vector) is skipped
-        key = tuple(ints[i] for i in idx) + tuple(units[j] for j in J)
-        if key in seen:
-            continue
-        seen.add(key)
-        mass_in = [0] * len(tops)
-        for col, m in zip(cols, masses):
-            for top in _supersets(tuple(map(bool, col))):
-                mass_in[top] += m
-        values = [bound * ((n + 1) * mass_in[top] - shift)
-                  for top, shift in zip(tops, shifts)]
-        value = max(values)
-        position = values.index(value)
-        if best is None or (value, -position) > (best[0], -best[1]):
-            best = (value, position, idx, J)
-    value, position, idx, J = best  # the standard frame is always there
-    top = tops[position]
-    weights = tuple(bound if top >> i & 1 else -bound for i in range(n + 1))
-    basis = _frame_basis([support[i].coords for i in idx], J, n)
-    return SearchResult(Fraction(2 * value, n + 1), weights, basis, idx)
+    ints = [_primitive(p.coords) for p in support]
+    subsets = list(_flat_keys(ints, n))
+    flats = _flats(subsets)
+    excess = {key: (n + 1) * sum(map(masses.__getitem__, members))
+              - total * key[0] for key, (_, members) in flats.items()}
+    top = max(excess.values(), default=0)
+    if top <= 0 or bound == 0:
+        return SearchResult(Fraction(0), (-bound,) * (n + 1),
+                            _frame_basis([], range(n + 1), n), ())
+    # J and the bits of the e_j in the span, by flat; the standard frame
+    # keeps every e_j, a frame of n+1 points none
+    completions = {"root": (tuple(range(n + 1)), 0), "full": ((), 0)}
+
+    def completion(key):
+        if key not in completions:
+            completions[key] = _completion(
+                [ints[i] for i in flats[key][0]], n)
+        return completions[key]
+
+    def frames():
+        """(points, key) of every frame, in the walk's order."""
+        yield (), "root"
+        yield from subsets
+        for idx, key in subsets:
+            if len(idx) == n:
+                off = flats[key][1]
+                for j in range(idx[-1] + 1, len(ints)):
+                    if j not in off:
+                        yield idx + (j,), "full"
+
+    # (rank, member bits, bits of the e_j in it) of each max-excess flat
+    optimal = [(key[0], sum(1 << i for i in flats[key][1]),
+                completion(key)[1]) for key in excess if excess[key] == top]
+    # above every position; with no frame found the check below fails
+    best, best_idx = 1 << (n + 1), ()
+    for idx, key in frames():
+        for rank, members, units in optimal:
+            position = count = 0
+            for t, i in enumerate(idx):
+                if members >> i & 1:
+                    position |= 1 << (n - t)
+                    count += 1
+            # the other basis vectors in F are kept e_j, after the points;
+            # the least they can add is the last rank - count positions
+            if count < rank and units.bit_count() >= rank - count and (
+                    position + (1 << (rank - count)) - 1 < best):
+                for u, j in enumerate(completion(key)[0]):
+                    if units >> j & 1:
+                        position |= 1 << (n - len(idx) - u)
+                        count += 1
+            if count == rank and position < best:
+                best, best_idx = position, idx
+    frame = (completions["root"][0], ints)
+    for i in best_idx:
+        frame = frame and _pivot(frame, i)
+    # the winner's support masks must score the maximum at its sign set
+    inside = frame and sum(m for col, m in zip(frame[1], masses) if all(
+        best >> (n - t) & 1 for t, x in enumerate(col) if x))
+    if not frame or (n + 1) * inside - total * best.bit_count() != top:
+        raise VerificationFailed(
+            f"frame {best_idx} misses the scan's maximal excess {top}")
+    weights = tuple(bound if best >> (n - t) & 1 else -bound
+                    for t in range(n + 1))
+    basis = _frame_basis([support[i].coords for i in best_idx], frame[0], n)
+    return SearchResult(Fraction(2 * bound * top, n + 1), weights, basis,
+                        best_idx)

@@ -1,11 +1,15 @@
 """The per-weight-vector scoring loop, the reference for the search.
 
-reference_search enumerates the same adapted frames as
-exhaustive_ops_search, each from a Fraction elimination in
-_adapted_frame, and scores every weight vector of every frame one point
-at a time, in exact Python integers, keeping the smallest key
-(-score, weight vector, frame order).  _int_frame is the same frame from
-one integer elimination, the reference for stability's pivot step.
+reference_search walks the frames that exhaustive_ops_search answers
+for (the standard basis, then every independent subset of at most n+1
+support points, by size, then lexicographic, completed greedily by
+standard vectors), each from a Fraction elimination in _adapted_frame,
+and scores every weight vector of every frame one point at a time, in
+exact Python integers, keeping the smallest key (-score, weight vector,
+frame order).  exhaustive_ops_search scores no frame: it reads the
+answer off the flats of maximal excess, so the two share no step.
+_int_frame is a frame from one integer elimination, the reference for
+stability's pivot step.
 """
 
 import itertools

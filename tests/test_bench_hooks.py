@@ -45,8 +45,8 @@ def test_every_hook_target_resolves(monkeypatch):
 def test_exact_elimination_is_traced(monkeypatch):
     # the stability layer and the kernel route share exactcore._rref, so
     # the rref layer counts the scan's and the kernel's work; the search
-    # grows its frames by pivot steps, which read as stability.search
-    # self time and run no elimination
+    # runs its own scan (one elimination of the support) and completes
+    # the one max-excess flat of the collinear triple, its line
     tracing = _tracing(monkeypatch)
     assert any(h.layer == "exactcore.rref" for h in tracing.HOOKS)
     p2 = Ambient.projective(2)
@@ -72,7 +72,7 @@ def test_exact_elimination_is_traced(monkeypatch):
     finally:
         installed.remove()
     assert classify(collinear).is_unstable
-    assert counted["search"] == 0, counted
+    assert counted["search"] == 2, counted
     assert counted["classify"] and counted["fibre"], counted
 
 

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from sympy import Matrix, Rational
 
 from chowstab import exactcore, stability
-from chowstab import (Ambient, DiagonalOnePS, ProjectivePoint, Subspace,
-                      SubspaceNotSpannedBySupport, chow_weight, classify,
-                      destabilizer_from_subspace, exhaustive_ops_search,
-                      mumford_weight, normalize_cycle)
+from chowstab import (Ambient, DiagonalOnePS, ProjectivePoint, SearchResult,
+                      Subspace, SubspaceNotSpannedBySupport, chow_weight,
+                      classify, destabilizer_from_subspace,
+                      exhaustive_ops_search, mumford_weight, normalize_cycle)
 from classify_reference import _fraction_span, reference_classify
 from exact_reference import fraction_rref
 from optimized import run_optimized
@@ -35,6 +35,9 @@ FOUR_GENERAL = normalize_cycle(P2, [([1, 0, 0], 1), ([0, 1, 0], 1),
                                     ([0, 0, 1], 1), ([1, 1, 1], 1)])
 TRIANGLE = normalize_cycle(P2, [([1, 0, 0], 1), ([0, 1, 0], 1),
                                 ([0, 0, 1], 1)])
+# the heavy point comes last, so the search's winner is a frame of 3 points
+FULL_FRAME = normalize_cycle(P2, [([0, 1, 0], 1), ([1, 0, 0], 1),
+                                  ([1, 1, 1], 2)])
 
 
 def _random_cycle(rng, n, max_points, coord_bound=2):
@@ -530,6 +533,123 @@ class TestSearchOracle:
                                                      unit.basis_points)
 
 
+def _in_span(rref, v):
+    rows = [list(r) for r in rref] + [list(v)]
+    return fraction_rref(rows)[0] == len(rref)
+
+
+def _optimal_flats(cycle):
+    """V* = max(0, (n+1) mass(F) - total rank(F)) over the flats F of rank
+    at most n, and the Fraction RREF rows of the flats that reach it.  The
+    flats come from the Fraction reference scan, not from `_flat_keys`."""
+    n, total = cycle.ambient.n, cycle.total_mass()
+    flats = {}
+    for idx, (_, rref) in reference_subsets(cycle.support(), n,
+                                            _fraction_span):
+        flats.setdefault(rref, set()).update(idx)
+    excess = {rref: (n + 1) * sum(cycle.points[i][1] for i in members)
+              - total * len(rref) for rref, members in flats.items()}
+    top = max([0, *excess.values()])
+    return top, [rref for rref, value in excess.items() if value == top]
+
+
+class TestSearchIdentities:
+    """The search against the identities its docstring proves, with every
+    flat and frame from the Fraction references."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_weight_is_the_maximal_excess(self, data):
+        cycle = data.draw(_search_cycles())
+        bound = data.draw(st.sampled_from([0, 1, 2, 3, 10 ** 30]))
+        top, _ = _optimal_flats(cycle)
+        n = cycle.ambient.n
+        res = exhaustive_ops_search(cycle, bound)
+        assert res.weight == Fraction(2 * bound * top, n + 1)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_closed_form_when_nothing_gains(self, data):
+        cycle = data.draw(_search_cycles())
+        bound = data.draw(st.integers(0, 3))
+        top, _ = _optimal_flats(cycle)
+        n = cycle.ambient.n
+        res = exhaustive_ops_search(cycle, bound)
+        closed = (Fraction(0), (-bound,) * (n + 1),
+                  tuple(tuple(Fraction(int(i == j)) for j in range(n + 1))
+                        for i in range(n + 1)), ())
+        assert ((res.weight, res.weights, res.basis, res.basis_points)
+                == closed) == (top == 0 or bound == 0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_winning_sign_set_spans_an_optimal_flat(self, data):
+        cycle = data.draw(_search_cycles())
+        bound = data.draw(st.integers(1, 3))
+        top, optimal = _optimal_flats(cycle)
+        res = exhaustive_ops_search(cycle, bound)
+        if top == 0:
+            return
+        chosen = [b for b, w in zip(res.basis, res.weights) if w == bound]
+        rank, rref = _fraction_span([ProjectivePoint(b) for b in chosen])
+        assert rank == len(chosen) and rref in optimal
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_least_position_then_earliest_frame(self, data):
+        # in each reference frame, T = {t : b_t in F} for a max-excess flat
+        # F with |T| = rank F; the answer is the least position
+        # sum 2^(n-t), t in T, then the earliest such frame
+        cycle = data.draw(_search_cycles())
+        bound = data.draw(st.integers(1, 3))
+        top, optimal = _optimal_flats(cycle)
+        if top == 0:
+            return
+        n, support = cycle.ambient.n, cycle.support()
+
+        def frame(points):
+            return _adapted_frame([p.coords for p in points], support, n)
+
+        frames = itertools.chain([((), frame([]))],
+                                 reference_subsets(support, n + 1, frame))
+        best = None
+        for order, (idx, (_, basis, _)) in enumerate(frames):
+            for rref in optimal:
+                T = [t for t, b in enumerate(basis) if _in_span(rref, b)]
+                if len(T) == len(rref):
+                    key = (sum(2 ** (n - t) for t in T), order)
+                    if best is None or key < best[0]:
+                        best = (key, T, idx, basis)
+        _, T, idx, basis = best
+        weights = tuple(bound if t in T else -bound for t in range(n + 1))
+        assert exhaustive_ops_search(cycle, bound) == SearchResult(
+            Fraction(2 * bound * top, n + 1), weights, basis, idx)
+
+    def test_frame_disagreeing_with_scan_raises_under_optimize(self):
+        # the winning frame of FULL_FRAME is its three points, T = {2}: a
+        # pivot step that puts the heavy point off b_2 leaves T without the
+        # scan's maximal excess
+        script = """
+            from chowstab import stability
+            from chowstab.errors import VerificationFailed
+            from chowstab.geometry import Ambient, normalize_cycle
+            full = normalize_cycle(Ambient.projective(2), [
+                ([0, 1, 0], 1), ([1, 0, 0], 1), ([1, 1, 1], 2)])
+            real = stability._pivot
+            def flipped(frame, j):
+                J, cols = real(frame, j)
+                if j == 2:
+                    cols[2][0] = 1
+                return J, cols
+            stability._pivot = flipped
+            try:
+                stability.exhaustive_ops_search(full, 1)
+            except VerificationFailed:
+                print("raised")
+            """
+        assert run_optimized(script) == "raised"
+
+
 class TestAdaptedFrame:
     @pytest.fixture
     def eliminations(self, monkeypatch):
@@ -557,17 +677,6 @@ class TestAdaptedFrame:
         monkeypatch.setattr(stability, "_pivot", counting)
         return calls
 
-    @staticmethod
-    def _candidates(cycle, max_size):
-        """Candidate subsets of the scan: every independent subset of fewer
-        than max_size points, the empty one too, grown by each later point.
-        The independent subsets come from the reference enumeration."""
-        support = cycle.support()
-        parents = [()] + [idx for idx, _ in reference_subsets(
-            support, max_size - 1, _fraction_span)]
-        return sum(len(support) - (idx[-1] + 1 if idx else 0)
-                   for idx in parents)
-
     def test_destabilizer_pivots_once_per_spanning_point(self, eliminations,
                                                          pivots):
         # the frame is one pivot step per spanning point, no elimination
@@ -580,17 +689,27 @@ class TestAdaptedFrame:
             assert pivots == [cycle.support().index(p)
                               for p in sub.spanning_points]
 
-    def test_search_pivots_once_per_candidate(self, eliminations, pivots):
-        # collinear support: no subset spans the plane, so every frame needs
-        # standard vectors to complete it; each candidate subset is its
-        # parent's frame grown by one pivot step, and nothing is eliminated
-        for cycle in (COLLINEAR, HEAVY):
+    def test_search_pivots_once_per_winning_point(self, eliminations,
+                                                 pivots):
+        # the search walks no frames: one pivot step per point of the
+        # winning frame gives its completion, and its eliminations are the
+        # scan's one of the support plus at most one per flat it completes
+        # (a point needs none), never one per subset.  FULL_FRAME's winner
+        # has n+1 points, the collinear triple's is the standard frame
+        for cycle in (COLLINEAR, HEAVY, FULL_FRAME, TRIANGLE, FOUR_GENERAL):
+            support = cycle.support()
             n = cycle.ambient.n
-            candidates = self._candidates(cycle, n + 1)
-            exhaustive_ops_search(cycle, 1)
-            assert eliminations == []
-            assert len(pivots) == candidates
+            flats = {rref for _, (_, rref) in reference_subsets(
+                support, n, _fraction_span) if len(rref) > 1}
+            res = exhaustive_ops_search(cycle, 1)
+            assert pivots == list(res.basis_points)
+            assert eliminations[0] == len(support)
+            assert all(rows > 1 for rows in eliminations[1:])
+            assert len(eliminations) <= 1 + len(flats)
             pivots.clear()
+            eliminations.clear()
+        assert exhaustive_ops_search(FULL_FRAME, 1).basis_points == (0, 1, 2)
+        assert exhaustive_ops_search(COLLINEAR, 1).basis_points == ()
 
     def test_classify_scan_eliminates_over_the_integers(self, eliminations):
         # the wedge scan eliminates no candidate subset: one elimination for
