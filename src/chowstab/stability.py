@@ -253,13 +253,9 @@ def _wedge_block(w: np.ndarray, v: np.ndarray, i: np.ndarray, s: np.ndarray,
 
 
 def _flats(keyed: Iterable[tuple]) -> dict:
-    """The flats of a scan: key -> (first spanning subset, members).
-
-    `keyed` is `_flat_keys` output, keys by (rank, primitive wedge).  Each
-    support point of a flat lies in one of its spanning subsets, so the
-    members, the union of those subsets, are every support point on it,
-    and the flat keeps its first, minimal spanning subset.
-    """
+    """`_flat_keys` output as key -> (first spanning subset, members): each
+    support point of a flat lies in one of its spanning subsets, so their
+    union is every support point on it."""
     flats: dict = {}
     for idx, key in keyed:
         flats.setdefault(key, (idx, set()))[1].update(idx)
@@ -498,14 +494,16 @@ def exhaustive_ops_search(cycle: WeightedCycle, bound: int) -> SearchResult:
     Sign vectors.  In one frame the score sum_p m_p((n+1) min(w_i, i in
     mask_p) - sum(w)) is concave and linear on each order cone, which
     meets the cube in a Kuhn simplex with vertices B*s, s in {-1, 1}^(n+1).
-    So the frame's lexicographically first maximizer is a B*s.  With T the +1 positions of
-    s, the score of B*s is 2B((n+1) M_f(T) - total*|T|), M_f(T) the mass
-    of the support points in the span V_T of the basis vectors b_t, t in
-    T, and s comes at position sum(2^(n-t), t in T) of the sign vectors
-    in `itertools.product((-1, 1))` order, the lexicographic one.
+    So the frame's lexicographically first maximizer is a B*s.  With T the
+    +1 positions of s, the score of B*s is 2B((n+1) M_f(T) - total*|T|),
+    M_f(T) the mass of the support points in the span V_T of the basis
+    vectors b_t, t in T, and s comes at position sum(2^(n-t), t in T) of
+    the sign vectors in `itertools.product((-1, 1))` order, the
+    lexicographic one.
 
-    The value.  With exc(F) = (n+1) mass(F) - total*rank(F) over the flats
-    F spanned by support points, rank at most n, let V* = max(0, exc(F)).
+    The value.  With exc(F) = (n+1) mass(F) - total*rank(F) for the flats
+    F spanned by support points, let V* = max(0, max exc(F)) over those of
+    rank at most n.
     The points in V_T span a flat of mass M_f(T) and rank at most |T|, so
     no score exceeds 2B V*.  T = {} scores 0, and a flat's first spanning
     subset scores 2B exc(F) in its frame at T = {0..rank-1}.  So the

@@ -59,7 +59,8 @@ def random_cycles(count=RANDOM_CYCLES):
             coords = [0]
             while not any(coords):
                 coords = [rng.choice(ENTRIES) for _ in range(n + 1)]
-            mass = rng.randint(2 ** 62, 2 ** 64) if heavy else rng.randint(1, 3)
+            mass = (rng.randint(2 ** 62, 2 ** 64) if heavy
+                    else rng.randint(1, 3))
             points.append((coords, mass))
         out.append((n, points))
     return out
